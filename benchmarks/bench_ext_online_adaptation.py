@@ -19,9 +19,8 @@ from repro.runtime import simulate
 
 def _run(machine):
     contended = Machine(
-        cpu=scale_device(machine.cpu, 4.0),
-        gpu=machine.gpu,
-        interconnect=machine.interconnect,
+        devices=(scale_device(machine.device("cpu"), 4.0), machine.device("gpu")),
+        links=machine.links,
     )
     graph = build_model("wide_deep")
     adaptive = AdaptiveDuetEngine(base_machine=machine, cooldown=5)

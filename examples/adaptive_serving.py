@@ -19,8 +19,8 @@ from repro.runtime import simulate
 def main() -> None:
     base = default_machine(noisy=False)
     contended = Machine(
-        cpu=scale_device(base.cpu, 4.0), gpu=base.gpu,
-        interconnect=base.interconnect,
+        devices=(scale_device(base.device("cpu"), 4.0), base.device("gpu")),
+        links=base.links,
     )
     graph = build_model("wide_deep")
 

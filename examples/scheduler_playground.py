@@ -82,8 +82,8 @@ def main() -> None:
     for step in rand_corr.corrections:
         print(
             f"  phase {step.phase_index}: "
-            f"{step.moved_to_gpu or '-'} -> gpu, "
-            f"{step.moved_to_cpu or '-'} -> cpu   "
+            f"{step.moved_forward or '-'} -> {step.pair[1]}, "
+            f"{step.moved_backward or '-'} -> {step.pair[0]}   "
             f"{step.latency_before * 1e3:.3f} ms -> {step.latency_after * 1e3:.3f} ms"
         )
     print(

@@ -84,7 +84,7 @@ class FrameworkBaseline:
             # (an unrolled RNN dispatches every step through the framework).
             total += t + self.per_op_overhead_s * kernel.cost.sequential_steps
         if self.device == "gpu":
-            link = self.machine.interconnect
+            link = self.machine.link(self.machine.host, self.device)
             in_bytes = sum(
                 module.graph.node(i).ty.size_bytes for i in module.input_ids
             )
@@ -114,7 +114,7 @@ class FrameworkBaseline:
                 t = t * self.cpu_recurrent_slowdown
             total += t + self.per_op_overhead_s * kernel.cost.sequential_steps
         if self.device == "gpu":
-            link = self.machine.interconnect
+            link = self.machine.link(self.machine.host, self.device)
             in_bytes = sum(
                 module.graph.node(i).ty.size_bytes for i in module.input_ids
             )

@@ -100,7 +100,7 @@ def fig05_comm(
 ) -> list[dict]:
     """Bulk-transfer latency and effective bandwidth per message size."""
     machine = machine or default_machine(noisy=False)
-    link = machine.interconnect
+    link = machine.link("cpu", "gpu")
     if sizes is None:
         sizes = [2**k for k in range(10, 29)]  # 1 KiB .. 256 MiB
     rows = []

@@ -5,7 +5,7 @@ One home for closed-loop driving logic so the simulated stream benchmark
 (``bench_serving_load``) cannot drift apart:
 
 * :func:`closed_loop_burst` — replay a burst through the *simulated*
-  shared-timeline stream model (:mod:`repro.runtime.stream`);
+  shared-timeline stream model (:func:`repro.runtime.simulator.simulate_stream`);
 * :func:`run_closed_loop` — drive a callable with ``concurrency`` real
   threads, each issuing its next request as soon as the previous one
   completes (a classic closed loop), returning wall-clock throughput;
@@ -27,7 +27,7 @@ from repro.errors import ExecutionError
 from repro.ir.builder import GraphBuilder
 from repro.ir.graph import Graph
 from repro.runtime.plan import HeteroPlan
-from repro.runtime.stream import StreamResult, simulate_stream
+from repro.runtime.simulator import StreamResult, simulate_stream
 
 __all__ = [
     "LoadResult",
@@ -127,7 +127,7 @@ def closed_loop_burst(
 ) -> StreamResult:
     """Simulated closed-loop burst: ``n_requests`` through ``plan``.
 
-    A thin façade over :func:`~repro.runtime.stream.simulate_stream`
+    A thin façade over :func:`~repro.runtime.simulator.simulate_stream`
     (arrival interval 0 = every request queued at t=0), kept here so the
     simulated and real-thread benchmarks share one entry point.
     """

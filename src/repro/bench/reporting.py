@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.devices.machine import link_key
+
 __all__ = ["format_table", "format_bars", "format_timeline", "format_hetero_timeline"]
 
 
@@ -87,31 +89,41 @@ def format_timeline(
 
 
 def format_hetero_timeline(result, width: int = 72, title: str = "") -> str:
-    """Render an ExecutionResult as two device lanes plus a PCIe lane.
+    """Render an ExecutionResult as one lane per device plus one per link.
 
     One character cell per time slice; ``█`` marks busy time.  Gives the
     Fig. 4-style at-a-glance view of how a heterogeneous plan overlaps the
-    devices and where the transfers sit.
+    devices and where the transfers sit.  Lanes cover every device that ran
+    a task or was an endpoint of a transfer; a single link in use is
+    labelled ``pcie``, several are labelled by their device pair.
     """
-    spans = {"cpu": [], "gpu": [], "pcie": []}
-    for rec in result.tasks:
-        spans[rec.device].append((rec.start, rec.finish, rec.task_id))
+    devices: dict[str, list] = {}
+    links: dict[tuple[str, str], list] = {}
     for tr in result.transfers:
-        spans["pcie"].append((tr.start, tr.finish, tr.what))
+        devices.setdefault(tr.src_device, [])
+        devices.setdefault(tr.dest_device, [])
+        links.setdefault(link_key(tr.src_device, tr.dest_device), []).append(tr)
+    for rec in result.tasks:
+        devices.setdefault(rec.device, []).append(rec)
+    spans = {name: devices[name] for name in sorted(devices)}
+    for pair in sorted(links):
+        spans["pcie" if len(links) == 1 else "-".join(pair)] = links[pair]
     end = max(
-        [result.latency]
-        + [f for lane in spans.values() for _, f, _ in lane]
+        [result.latency] + [s.finish for lane in spans.values() for s in lane]
     )
     end = end or 1.0
+    label_w = max([4, *map(len, spans)])
     lines = [title] if title else []
     lines.append(f"total {end * 1e3:.3f} ms; one cell = {end / width * 1e3:.3f} ms")
-    for lane in ("cpu", "gpu", "pcie"):
+    for name, lane in spans.items():
         cells = [" "] * width
-        for start, finish, _label in spans[lane]:
-            lo = int(width * start / end)
-            hi = max(lo + 1, int(width * finish / end))
+        for span in lane:
+            lo = int(width * span.start / end)
+            hi = max(lo + 1, int(width * span.finish / end))
             for i in range(lo, min(hi, width)):
                 cells[i] = "█"
-        busy = sum(f - s for s, f, _ in spans[lane])
-        lines.append(f"{lane:4s} |{''.join(cells)}| busy {busy * 1e3:7.3f} ms")
+        busy = sum(span.finish - span.start for span in lane)
+        lines.append(
+            f"{name:{label_w}s} |{''.join(cells)}| busy {busy * 1e3:7.3f} ms"
+        )
     return "\n".join(lines)

@@ -9,6 +9,7 @@ materialized lazily and cached on the module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -148,6 +149,12 @@ class CompiledModule:
         if self._params is None:
             self._params = self.graph.materialize_params(self.param_seed)
         return self._params
+
+    @cached_property
+    def kernel_names(self) -> tuple[str, ...]:
+        """Kernel names in execution order (what the simulator's timeline
+        records label per-kernel durations with)."""
+        return tuple(k.name for k in self.kernels)
 
     def total_flops(self) -> float:
         return sum(k.cost.flops for k in self.kernels)

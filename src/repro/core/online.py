@@ -80,9 +80,11 @@ class AdaptiveDuetEngine:
 
     def _believed_machine(self) -> Machine:
         return Machine(
-            cpu=scale_device(self.base_machine.cpu, self.assumed_slowdown["cpu"]),
-            gpu=scale_device(self.base_machine.gpu, self.assumed_slowdown["gpu"]),
-            interconnect=self.base_machine.interconnect,
+            devices=[
+                scale_device(dev, self.assumed_slowdown[dev.name])
+                for dev in self.base_machine.devices
+            ],
+            links=self.base_machine.links,
         )
 
     def _reschedule(self) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.compiler.lowering import CompiledModule
 from repro.compiler.pipeline import Compiler
-from repro.compiler.target import CPU_TARGET, GPU_TARGET, Target
+from repro.compiler.target import Target
 from repro.core.phases import PhasedPartition
 from repro.core.subgraph import SubgraphInfo
 from repro.devices.base import Device
@@ -32,13 +32,11 @@ from repro.runtime.measurement import LatencyStats
 
 __all__ = ["SubgraphProfile", "CompilerAwareProfiler"]
 
-_DEVICE_TARGETS = {"cpu": CPU_TARGET, "gpu": GPU_TARGET}
-
 
 def device_target(device: Device) -> Target:
     """The compilation target of one mesh device (by its spec kind, so a
     ``gpu1`` Titan V compiles with the GPU backend)."""
-    return _DEVICE_TARGETS.get(device.spec.kind) or Target(device.spec.kind)
+    return Target(device.spec.kind)
 
 
 @dataclass(frozen=True)

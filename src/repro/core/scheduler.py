@@ -56,16 +56,16 @@ __all__ = [
 class CorrectionStep:
     """One applied swap of the correction loop.
 
-    ``pair`` is the device pair the swap exchanged between; the legacy
-    field names read "forward" (``moved_to_gpu``: the subgraph moved
-    ``pair[0] -> pair[1]``) and "backward" (``moved_to_cpu``: moved
-    ``pair[1] -> pair[0]``) — on the default machine the pair is
-    ``("cpu", "gpu")`` and the names are literal.
+    ``pair`` is the device pair the swap exchanged between, in mesh
+    order: ``moved_forward`` is the subgraph that moved ``pair[0] ->
+    pair[1]`` and ``moved_backward`` the one that moved ``pair[1] ->
+    pair[0]`` (either may be ``None`` — a single move).  On the default
+    machine the pair is ``("cpu", "gpu")``.
     """
 
     phase_index: int
-    moved_to_gpu: str | None
-    moved_to_cpu: str | None
+    moved_forward: str | None
+    moved_backward: str | None
     latency_before: float
     latency_after: float
     pair: tuple[str, str] = ("cpu", "gpu")
@@ -101,9 +101,9 @@ class LatencyOracle:
     earlier configurations across rounds, sweeps, and restarts (the
     Random+Correction baseline) — so measured latencies are cached under a
     placement key.  Plans are assembled from per-(subgraph, device) cached
-    task specs, and cache misses run the simulator's timing-only fast path
-    with precomputed mean kernel durations.  All of this is exact: a cache
-    hit returns bit-identically what re-simulation would.
+    task specs, and cache misses run the simulator in mean mode with
+    precomputed kernel durations.  All of this is exact: a cache hit
+    returns bit-identically what re-simulation would.
 
     Attributes:
         hits: measure calls answered from the cache.
@@ -180,7 +180,6 @@ class LatencyOracle:
         latency = simulate(
             plan,
             self._machine,
-            record_kernels=False,
             kernel_times=kernel_times,
             overlap=self.overlap,
         ).latency
@@ -283,8 +282,8 @@ def correct_placement(
                 steps.append(
                     CorrectionStep(
                         phase_index=phase.index,
-                        moved_to_gpu=si,
-                        moved_to_cpu=sj,
+                        moved_forward=si,
+                        moved_backward=sj,
                         latency_before=t_old,
                         latency_after=best_latency,
                         pair=(dev_a, dev_b),

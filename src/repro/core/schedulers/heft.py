@@ -35,15 +35,11 @@ from typing import Mapping
 
 from repro.core.phases import PhasedPartition
 from repro.core.profiler import SubgraphProfile
-from repro.devices.machine import Machine
+from repro.devices.machine import Machine, link_key
 from repro.errors import SchedulingError
 from repro.ir.graph import Graph
 
 __all__ = ["heft_placement", "upward_ranks"]
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _mean_transfer(machine: Machine, n_bytes: float) -> float:
@@ -171,7 +167,7 @@ def heft_placement(
                 if cached is not None:
                     avail = cached
                 else:
-                    pair = _pair(produced_on, dest)
+                    pair = link_key(produced_on, dest)
                     start = max(cursors.get(pair, 0.0), produced_at)
                     avail = start + machine.link(
                         produced_on, dest
@@ -209,7 +205,7 @@ def heft_placement(
                 continue
             cached = arrival.get((tensor, host))
             if cached is None:
-                pair = _pair(placed_on[sid], host)
+                pair = link_key(placed_on[sid], host)
                 start = max(link_free.get(pair, 0.0), finish[sid])
                 cached = start + machine.link(
                     placed_on[sid], host

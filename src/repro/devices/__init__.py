@@ -6,6 +6,7 @@ from repro.devices.interconnect import Interconnect, make_pcie3
 from repro.devices.machine import (
     Machine,
     default_machine,
+    link_key,
     load_mesh,
     make_cpu,
     make_gpu,
@@ -42,6 +43,7 @@ __all__ = [
     "TITAN_V",
     "XEON_GOLD_6152",
     "default_machine",
+    "link_key",
     "load_mesh",
     "make_cpu",
     "make_gpu",

@@ -1,13 +1,11 @@
 """The machine a schedule maps onto: an ordered mesh of devices + links.
 
-Historically this was the paper's coupled CPU-GPU pair (§VI-A).  Nothing
-in DUET's scheduling algorithm forces exactly two devices — the scheduler
-only ever consumes per-subgraph ``(time, bytes)`` tuples — so the
-:class:`Machine` is an ordered *mesh*: a device list plus per-pair
+The paper evaluates a coupled CPU-GPU pair (§VI-A), but nothing in DUET's
+scheduling algorithm forces exactly two devices — the scheduler only ever
+consumes per-subgraph ``(time, bytes)`` tuples — so the :class:`Machine`
+is an ordered *mesh*: a device list plus per-pair
 :class:`~repro.devices.interconnect.Interconnect` link models, looked up
-by name.  The legacy two-device keyword constructor
-(``Machine(cpu=..., gpu=..., interconnect=...)``) still works and builds
-a 2-device mesh whose behaviour is bit-identical to the old dataclass.
+by name.  :func:`default_machine` is the paper's pair as a 2-device mesh.
 
 Topologies can be described in JSON (see ``examples/mesh.json``) and
 loaded with :func:`load_mesh`; :func:`make_mesh` builds the common
@@ -18,7 +16,6 @@ per-GPU ``slowdown`` factors for heterogeneous meshes.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import replace
 from typing import Iterable, Mapping
 
@@ -43,6 +40,7 @@ from repro.errors import DeviceError
 __all__ = [
     "Machine",
     "default_machine",
+    "link_key",
     "load_mesh",
     "make_cpu",
     "make_gpu",
@@ -104,19 +102,16 @@ def make_gpu(noisy: bool = True, name: str = "gpu") -> Device:
     )
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    """Canonical (sorted) key of an undirected device pair."""
+def link_key(a: str, b: str) -> tuple[str, str]:
+    """Canonical (sorted) key of the undirected link between two devices."""
     return (a, b) if a <= b else (b, a)
 
 
 class Machine:
     """An ordered mesh of named devices joined by point-to-point links.
 
-    The legacy two-device form ``Machine(cpu=..., gpu=...,
-    interconnect=...)`` builds a mesh of exactly those two devices with
-    the interconnect as the (only) link; the mesh form takes an ordered
-    ``devices`` sequence plus per-pair ``links`` and/or a
-    ``default_link`` used for any pair without an explicit entry.
+    Takes an ordered ``devices`` sequence plus per-pair ``links`` and/or
+    a ``default_link`` used for any pair without an explicit entry.
 
     Device order is semantically meaningful and preserved: schedulers
     enumerate candidates, tie-break, and seed per-device RNG streams in
@@ -126,27 +121,11 @@ class Machine:
 
     def __init__(
         self,
-        cpu: Device | None = None,
-        gpu: Device | None = None,
-        interconnect: Interconnect | None = None,
         *,
-        devices: Iterable[Device] | None = None,
+        devices: Iterable[Device],
         links: Mapping[tuple[str, str], Interconnect] | None = None,
         default_link: Interconnect | None = None,
     ):
-        if devices is None:
-            if cpu is None or gpu is None or interconnect is None:
-                raise DeviceError(
-                    "Machine needs either (cpu, gpu, interconnect) or a "
-                    "devices= list"
-                )
-            devices = (cpu, gpu)
-            default_link = interconnect if default_link is None else default_link
-        elif cpu is not None or gpu is not None or interconnect is not None:
-            raise DeviceError(
-                "Machine(devices=...) excludes the legacy cpu/gpu/interconnect "
-                "arguments"
-            )
         self._devices: tuple[Device, ...] = tuple(devices)
         if not self._devices:
             raise DeviceError("a machine needs at least one device")
@@ -165,11 +144,11 @@ class Machine:
                 )
             if a == b:
                 raise DeviceError(f"self-link {key!r} is meaningless")
-            self._links[_pair(a, b)] = link
+            self._links[link_key(a, b)] = link
         self._default_link = default_link
         if self._default_link is None and len(self._devices) > 1:
             for a_dev, b_dev in zip(self._devices, self._devices[1:]):
-                if _pair(a_dev.name, b_dev.name) not in self._links:
+                if link_key(a_dev.name, b_dev.name) not in self._links:
                     raise DeviceError(
                         f"no link between {a_dev.name!r} and {b_dev.name!r} "
                         "and no default_link"
@@ -204,27 +183,6 @@ class Machine:
         self.device(name)  # raise on unknown names
         return tuple(n for n in self.device_names if n != name)
 
-    def other(self, name: str) -> str:
-        """Deprecated: the other device of a 2-device machine.
-
-        .. deprecated::
-            Use :meth:`peers`, which returns every survivor of an
-            N-device mesh.
-        """
-        warnings.warn(
-            "Machine.other() assumes a 2-device machine; use "
-            "Machine.peers(name) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        peers = self.peers(name)
-        if len(peers) != 1:
-            raise DeviceError(
-                f"Machine.other({name!r}) is ambiguous on a "
-                f"{len(self._devices)}-device mesh; use peers()"
-            )
-        return peers[0]
-
     @property
     def host(self) -> str:
         """The host device's name: ``"cpu"`` when present, else the
@@ -242,7 +200,7 @@ class Machine:
             raise DeviceError(f"no link from {a!r} to itself")
         self.device(a)
         self.device(b)
-        link = self._links.get(_pair(a, b))
+        link = self._links.get(link_key(a, b))
         if link is not None:
             return link
         if self._default_link is None:
@@ -256,47 +214,8 @@ class Machine:
         names = self.device_names
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                out[_pair(a, b)] = self.link(a, b)
+                out[link_key(a, b)] = self.link(a, b)
         return out
-
-    # ------------------------------------------------------------------
-    # legacy two-device accessors
-
-    @property
-    def cpu(self) -> Device:
-        """The host CPU device (by name, else the first cpu-kind device)."""
-        return self._kind_device("cpu")
-
-    @property
-    def gpu(self) -> Device:
-        """The GPU device (by name, else the first gpu-kind device)."""
-        return self._kind_device("gpu")
-
-    def _kind_device(self, kind: str) -> Device:
-        dev = self._by_name.get(kind)
-        if dev is not None:
-            return dev
-        for d in self._devices:
-            if d.spec.kind == kind:
-                return d
-        raise DeviceError(f"machine has no {kind} device: {self.device_names}")
-
-    @property
-    def interconnect(self) -> Interconnect:
-        """The single link of a uniform mesh (legacy accessor).
-
-        Raises :class:`~repro.errors.DeviceError` on a mesh with
-        heterogeneous per-pair links — use :meth:`link` there.
-        """
-        distinct = {id(l) for l in self._links.values()}
-        if self._default_link is not None:
-            if not self._links or distinct == {id(self._default_link)}:
-                return self._default_link
-        elif len(distinct) == 1:
-            return next(iter(self._links.values()))
-        raise DeviceError(
-            "machine has heterogeneous links; use machine.link(a, b)"
-        )
 
     # ------------------------------------------------------------------
 
@@ -317,9 +236,8 @@ class Machine:
 def default_machine(noisy: bool = True) -> Machine:
     """The paper's evaluation machine: Xeon 6152 + Titan V over PCIe 3.0."""
     return Machine(
-        cpu=make_cpu(noisy),
-        gpu=make_gpu(noisy),
-        interconnect=make_pcie3(PCIE_NOISE if noisy else NO_NOISE),
+        devices=(make_cpu(noisy), make_gpu(noisy)),
+        default_link=make_pcie3(PCIE_NOISE if noisy else NO_NOISE),
     )
 
 

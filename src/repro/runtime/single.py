@@ -36,20 +36,9 @@ class SingleDeviceResult(ExecutionResult):
     the other executors' results carry
     (:class:`~repro.runtime.threaded.ThreadedResult`,
     :class:`~repro.runtime.resilient.ExecutionReport`).
-
-    Dict-style access (``result["latency"]``) was deprecated for one
-    cycle and has been removed; use attribute access.
     """
 
     wall_time_s: float = 0.0
-
-    def __getitem__(self, key: str):
-        """Removed dict-style field access; raises a directing TypeError."""
-        raise TypeError(
-            "dict-style access to run_single_device results was removed "
-            "after its deprecation cycle; use the "
-            f".{key} attribute instead of [{key!r}]"
-        )
 
 
 def single_device_plan(module: CompiledModule, device: str) -> HeteroPlan:

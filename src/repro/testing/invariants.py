@@ -34,6 +34,7 @@ from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.core.phases import PhasedPartition, PhaseType
+from repro.devices.machine import link_key
 from repro.errors import InvariantViolation
 from repro.ir.graph import Graph
 from repro.runtime.plan import HeteroPlan
@@ -54,11 +55,6 @@ __all__ = [
 _DEVICES = ("cpu", "gpu")
 _HOST = "cpu"
 _EPS = 1e-9
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    """Canonical key of the (undirected) link between two devices."""
-    return (a, b) if a <= b else (b, a)
 
 
 def assert_valid(violations: Sequence[str]) -> None:
@@ -406,21 +402,10 @@ def check_execution(
                     f"on {device}"
                 )
 
-    # Each device-pair link is one serialized resource.  The transfer
-    # records carry only the destination, so the source side is derived:
-    # external tensors leave the host, task outputs leave the device the
-    # producer was recorded on.
-    def transfer_src(t) -> str:
-        if t.what.startswith("task:"):
-            tid = t.what[len("task:"):].rsplit("[", 1)[0]
-            rec = recs.get(tid)
-            if rec is not None:
-                return rec.device
-        return host
-
+    # Each device-pair link is one serialized resource.
     by_link: dict[tuple[str, str], list] = {}
     for t in result.transfers:
-        by_link.setdefault(_pair(transfer_src(t), t.dest_device), []).append(t)
+        by_link.setdefault(link_key(t.src_device, t.dest_device), []).append(t)
     for link_pair in sorted(by_link):
         link = sorted(by_link[link_pair], key=lambda t: (t.start, t.finish))
         for prev, cur in zip(link, link[1:]):
@@ -465,6 +450,11 @@ def check_execution(
                     "matching transfer"
                 )
                 continue
+            if transfer.src_device != produced_on:
+                violations.append(
+                    f"transfer {label} recorded leaving "
+                    f"{transfer.src_device!r} but produced on {produced_on!r}"
+                )
             if transfer.start < produced_at - _EPS:
                 violations.append(
                     f"transfer {label} starts before its producer finishes"

@@ -38,8 +38,8 @@ class TestSyntheticModels:
         def t(module, dev):
             return sum(dev.kernel_time(k.cost) for k in module.kernels)
 
-        assert t(fused, machine.gpu) < t(fused, machine.cpu)
-        assert t(unfused, machine.cpu) < t(unfused, machine.gpu)
+        assert t(fused, machine.device("gpu")) < t(fused, machine.device("cpu"))
+        assert t(unfused, machine.device("cpu")) < t(unfused, machine.device("gpu"))
 
     def test_comm_heavy_builds_and_runs(self):
         g = build_comm_heavy_model()

@@ -1,7 +1,10 @@
-"""Tests for the two-lane heterogeneous timeline renderer."""
+"""Tests for the per-device / per-link heterogeneous timeline renderer."""
+
+import pytest
 
 from repro.bench import format_hetero_timeline
 from repro.core import DuetEngine
+from repro.devices import make_mesh
 from repro.models import build_model
 
 
@@ -28,3 +31,18 @@ class TestHeteroTimeline:
         text = format_hetero_timeline(engine.run(opt))
         cpu_line = next(l for l in text.splitlines() if l.startswith("cpu"))
         assert "█" not in cpu_line
+
+    @pytest.mark.parametrize(
+        "model, lanes",
+        [
+            # Regression: any mesh device used to raise KeyError('gpu0').
+            ("wide_deep", ["cpu", "gpu0", "pcie"]),
+            ("mtdnn", ["cpu", "gpu0", "gpu1", "cpu-gpu0", "cpu-gpu1"]),
+        ],
+    )
+    def test_mesh_gets_a_lane_per_device_and_link(self, model, lanes):
+        engine = DuetEngine(machine=make_mesh(2, noisy=False))
+        result = engine.run(engine.optimize(build_model(model)))
+        rows = format_hetero_timeline(result).splitlines()[1:]
+        assert [row.split("|")[0].strip() for row in rows] == lanes
+        assert all("█" in row for row in rows)

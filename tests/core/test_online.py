@@ -12,9 +12,11 @@ from repro.runtime import simulate
 
 def _contended(machine, cpu=1.0, gpu=1.0):
     return Machine(
-        cpu=scale_device(machine.cpu, cpu),
-        gpu=scale_device(machine.gpu, gpu),
-        interconnect=machine.interconnect,
+        devices=(
+            scale_device(machine.device("cpu"), cpu),
+            scale_device(machine.device("gpu"), gpu),
+        ),
+        links=machine.links,
     )
 
 

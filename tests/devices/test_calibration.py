@@ -61,15 +61,15 @@ class TestFig5Calibration:
     """Comm latency: linear growth, µs floor, ~12 GB/s asymptote."""
 
     def test_latency_floor_microseconds(self, machine):
-        t = machine.interconnect.transfer_time(1024)
+        t = machine.link("cpu", "gpu").transfer_time(1024)
         assert 1e-6 < t < 1e-4
 
     def test_asymptotic_bandwidth(self, machine):
-        bw = machine.interconnect.bandwidth_at(2**28)
+        bw = machine.link("cpu", "gpu").bandwidth_at(2**28)
         assert 10e9 < bw < 13e9
 
     def test_latency_vs_compute_scale(self, machine):
         # Paper §III-B: transfer delay for typical activations is orders
         # of magnitude below LSTM/CNN execution times.
         act_bytes = 256 * 4  # a [256] float hidden state
-        assert machine.interconnect.transfer_time(act_bytes) < 1e-4
+        assert machine.link("cpu", "gpu").transfer_time(act_bytes) < 1e-4

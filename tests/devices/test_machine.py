@@ -18,21 +18,22 @@ from repro.errors import DeviceError
 
 class TestMachine:
     def test_device_lookup(self, machine):
-        assert machine.device("cpu") is machine.cpu
-        assert machine.device("gpu") is machine.gpu
+        cpu, gpu = machine.devices
+        assert machine.device("cpu") is cpu
+        assert machine.device("gpu") is gpu
 
     def test_unknown_device_raises(self, machine):
         with pytest.raises(DeviceError):
             machine.device("tpu")
 
     def test_devices_tuple(self, machine):
-        assert machine.devices == (machine.cpu, machine.gpu)
+        assert machine.devices == (machine.device("cpu"), machine.device("gpu"))
 
     def test_noisy_flag(self):
         noisy = default_machine(noisy=True)
         quiet = default_machine(noisy=False)
-        assert noisy.cpu.noise.jitter_sigma > 0
-        assert quiet.cpu.noise.jitter_sigma == 0
+        assert noisy.device("cpu").noise.jitter_sigma > 0
+        assert quiet.device("cpu").noise.jitter_sigma == 0
 
     def test_factories(self):
         assert make_cpu().kind == "cpu"
@@ -51,16 +52,6 @@ class TestMesh:
         assert mesh.peers("gpu1") == ("cpu", "gpu0", "gpu2")
         with pytest.raises(DeviceError):
             mesh.peers("tpu")
-
-    def test_other_deprecated_but_works_on_pair(self, machine):
-        with pytest.warns(DeprecationWarning, match="peers"):
-            assert machine.other("cpu") == "gpu"
-
-    def test_other_ambiguous_on_mesh(self):
-        mesh = make_mesh(num_gpus=2)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(DeviceError, match="ambiguous"):
-                mesh.other("cpu")
 
     def test_heterogeneous_slowdowns(self):
         mesh = make_mesh(num_gpus=2, noisy=False, gpu_slowdowns=(1.0, 2.0))
@@ -82,12 +73,6 @@ class TestMesh:
                 default_link=make_pcie3(),
             )
 
-    def test_legacy_and_mesh_kwargs_exclusive(self):
-        from repro.devices import Machine
-
-        with pytest.raises(DeviceError):
-            Machine(cpu=make_cpu(), devices=[make_gpu()])
-
     def test_per_pair_link_override(self):
         from repro.devices import Machine
         from repro.devices.specs import PCIE3_X16
@@ -106,8 +91,6 @@ class TestMesh:
         # symmetric lookup, and only the overridden pair gets the fast link
         assert mesh.link("gpu1", "gpu0") is fast
         assert mesh.link("cpu", "gpu0") is not fast
-        with pytest.raises(DeviceError, match="heterogeneous"):
-            mesh.interconnect
 
     def test_self_link_rejected(self):
         mesh = make_mesh(num_gpus=2)
@@ -117,7 +100,7 @@ class TestMesh:
     def test_default_machine_is_two_device_mesh(self, machine):
         assert machine.device_names == ("cpu", "gpu")
         assert machine.peers("gpu") == ("cpu",)
-        assert machine.links == {("cpu", "gpu"): machine.interconnect}
+        assert machine.links == {("cpu", "gpu"): machine.link("gpu", "cpu")}
 
 
 class TestLoadMesh:
@@ -185,7 +168,7 @@ class TestInterconnect:
         assert link.sample_transfer_time(2**20, rng) == link.transfer_time(2**20)
 
     def test_sample_noisy_varies(self, noisy_machine, rng):
-        link = noisy_machine.interconnect
+        link = noisy_machine.link("cpu", "gpu")
         xs = {link.sample_transfer_time(2**20, rng) for _ in range(10)}
         assert len(xs) > 1
 

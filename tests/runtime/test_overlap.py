@@ -1,9 +1,10 @@
 """Tests for the double-buffered (overlap) transfer discipline.
 
-Covers the shared discrete-event core (:mod:`repro.runtime.overlap`),
-``simulate(..., overlap=True)``, the prefetching transfer worker of the
-threaded executor, and the bit-identity guarantee: overlap changes the
-virtual clock, never the data.
+Covers the eager link discipline of :mod:`repro.runtime.simulator`
+(``simulate(..., overlap=True)`` and ``simulate_stream``), the
+prefetching transfer worker of the threaded executor, and the
+bit-identity guarantee: overlap changes the virtual clock, never the
+data.
 """
 
 import numpy as np
@@ -11,9 +12,8 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.ir import GraphBuilder
-from repro.runtime import Source, simulate
+from repro.runtime import Source, simulate, simulate_stream
 from repro.runtime.faults import FaultInjector, FaultPlan, TransferFault
-from repro.runtime.overlap import replay_plan
 from repro.runtime.plan import HeteroPlan
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -82,12 +82,13 @@ class TestLinkReadyOrder:
 
     def test_replay_is_deterministic(self, machine):
         plan = _late_vs_bulk_plan()
-        a = replay_plan(plan, machine, arrivals=[0.0])
-        b = replay_plan(plan, machine, arrivals=[0.0])
-        assert a.completions == b.completions
-        assert [
-            (t.what, t.start, t.finish) for t in a.transfers
-        ] == [(t.what, t.start, t.finish) for t in b.transfers]
+        a = simulate(plan, machine, overlap=True)
+        b = simulate(plan, machine, overlap=True)
+        assert a.latency == b.latency
+        assert a.tasks == b.tasks
+        assert a.transfers == b.transfers
+        # The stream wrapper shares the replay: one request prices the same.
+        assert simulate_stream(plan, machine, 1).latencies == (a.latency,)
 
 
 class TestBitIdentity:

@@ -37,7 +37,8 @@ class TestSingleDevice:
         g = _dense_graph()
         mod = lower(g, CPU_TARGET)
         result = run_single_device(mod, "cpu", machine)
-        expected = sum(machine.cpu.kernel_time(k.cost) for k in mod.kernels)
+        cpu = machine.device("cpu")
+        expected = sum(cpu.kernel_time(k.cost) for k in mod.kernels)
         assert result.latency == pytest.approx(expected)
         assert result.transfers == []
 
@@ -45,16 +46,21 @@ class TestSingleDevice:
         g = _dense_graph()
         mod = lower(g, GPU_TARGET)
         result = run_single_device(mod, "gpu", machine)
-        kernel_time = sum(machine.gpu.kernel_time(k.cost) for k in mod.kernels)
+        gpu = machine.device("gpu")
+        kernel_time = sum(gpu.kernel_time(k.cost) for k in mod.kernels)
         assert result.latency > kernel_time
         assert len(result.transfers) == 2  # input H2D + output D2H
 
     def test_kernel_records_contiguous(self, machine, tiny_model):
         mod = lower(tiny_model, CPU_TARGET)
         result = run_single_device(mod, "cpu", machine)
-        kernels = result.tasks[0].kernels
+        record = result.tasks[0]
+        kernels = record.kernels
+        assert [k.name for k in kernels] == [k.name for k in mod.kernels]
+        assert kernels[0].start == record.start
         for prev, cur in zip(kernels, kernels[1:]):
             assert cur.start == pytest.approx(prev.finish)
+        assert kernels[-1].finish == pytest.approx(record.finish)
 
 
 class TestConcurrency:

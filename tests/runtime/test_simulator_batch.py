@@ -69,13 +69,17 @@ class TestSimulateBatch:
 
 class TestTimingOnlyFastPath:
     def test_latency_bit_identical_to_full_records(self, machine):
+        # Every replay carries full records; the per-kernel view is derived
+        # from the durations the walk accumulated, so it lands bit-exactly
+        # on the task finish that priced the latency.
         engine = DuetEngine(machine=machine)
         opt = engine.optimize(build_model("mtdnn", tiny=True))
-        full = simulate(opt.plan, machine)
-        fast = simulate(opt.plan, machine, record_kernels=False)
-        assert fast.latency == full.latency
-        assert all(rec.kernels == () for rec in fast.tasks)
-        assert any(rec.kernels for rec in full.tasks)
+        result = simulate(opt.plan, machine)
+        assert any(rec.kernels for rec in result.tasks)
+        for rec in result.tasks:
+            if rec.kernels:
+                assert rec.kernels[-1].finish == rec.finish
+        assert result.latency >= max(rec.finish for rec in result.tasks)
 
     def test_precomputed_kernel_times_bit_identical(self, machine):
         engine = DuetEngine(machine=machine)
@@ -88,10 +92,9 @@ class TestTimingOnlyFastPath:
             for t in opt.plan.tasks
         }
         full = simulate(opt.plan, machine)
-        fast = simulate(
-            opt.plan, machine, record_kernels=False, kernel_times=times
-        )
+        fast = simulate(opt.plan, machine, kernel_times=times)
         assert fast.latency == full.latency
+        assert fast.tasks == full.tasks
 
     def test_numeric_execution_unaffected(self, machine):
         from repro.ir import make_inputs, run_graph

@@ -6,9 +6,8 @@ import pytest
 from repro.core import DuetEngine
 from repro.errors import ExecutionError
 from repro.models import build_model
-from repro.runtime import run_single_device, simulate
+from repro.runtime import run_single_device, simulate, simulate_stream
 from repro.runtime.single import single_device_plan
-from repro.runtime.stream import simulate_stream
 
 
 @pytest.fixture(scope="module")
