@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
 
 __all__ = [
     "DEVICES",
-    "OTHER_DEVICE",
     "plan_worker_devices",
     "ExecutionEvent",
     "TaskContext",
@@ -92,9 +91,6 @@ __all__ = [
 #: these devices is dispatched across exactly this pair, preserving the
 #: historical worker set (and thread names) even for single-device plans.
 DEVICES = ("cpu", "gpu")
-
-#: The failover partner of each default-machine device.
-OTHER_DEVICE = {"cpu": "gpu", "gpu": "cpu"}
 
 
 def plan_worker_devices(plan: HeteroPlan) -> tuple[str, ...]:
@@ -212,9 +208,9 @@ class CoreResult:
 class PhaseCheckpoint:
     """A preempted inline dispatch, frozen at a plan phase boundary.
 
-    Returned by :meth:`DispatchKernel.run_preemptible` when the
-    ``should_preempt`` predicate fired between two tasks with different
-    ``phase_index``.  The checkpoint owns private *copies* of every
+    Returned by :meth:`DispatchKernel.run` when the ``should_preempt``
+    predicate fired between two tasks with different ``phase_index``.
+    The checkpoint owns private *copies* of every
     committed value — arena-backed dispatches share buffers across
     requests, so anything the interrupting request executes through the
     same kernel would otherwise clobber the suspended frontier.  Because
@@ -717,6 +713,16 @@ class _Controller:
         self.queues[device].put(task)
 
 
+def _deadline_error(
+    deadline_s: float, n_done: int, n_tasks: int
+) -> DeadlineExceededError:
+    """The end-to-end deadline terminal error, shared by both policies."""
+    return DeadlineExceededError(
+        f"inference exceeded end-to-end deadline of "
+        f"{deadline_s:.4f}s ({n_done}/{n_tasks} tasks done)"
+    )
+
+
 class AbortPolicy:
     """Plain-threaded failure semantics: any failure aborts the run;
     every worker failure collected before shutdown lands in one
@@ -726,6 +732,12 @@ class AbortPolicy:
     def on_failure(self, msg: _Message, control: _Controller):
         """Abort on the first failure; errors are raised in :meth:`finish`."""
         return ("abort", None)
+
+    def on_deadline(
+        self, deadline_s: float, n_done: int, n_tasks: int, clock
+    ) -> ExecutionError:
+        """Build the end-to-end deadline terminal error."""
+        return _deadline_error(deadline_s, n_done, n_tasks)
 
     def finish(
         self, state: DispatchState, stuck: list[str], join_timeout: float
@@ -877,10 +889,7 @@ class FailoverPolicy:
         self, deadline_s: float, n_done: int, n_tasks: int, clock
     ) -> ExecutionError:
         """Build (and log) the end-to-end deadline terminal error."""
-        terminal = DeadlineExceededError(
-            f"inference exceeded end-to-end deadline of "
-            f"{deadline_s:.4f}s ({n_done}/{n_tasks} tasks done)"
-        )
+        terminal = _deadline_error(deadline_s, n_done, n_tasks)
         self.events.append(
             ExecutionEvent(kind="deadline", time_s=clock(), detail=str(terminal))
         )
@@ -974,20 +983,96 @@ class DispatchKernel:
 
     def run(
         self,
-        inputs: Mapping[str, np.ndarray],
+        inputs: Mapping[str, np.ndarray] | None = None,
         t0: float | None = None,
-    ) -> CoreResult:
+        *,
+        should_preempt: Callable[[], bool] | None = None,
+        checkpoint: PhaseCheckpoint | None = None,
+    ) -> CoreResult | PhaseCheckpoint:
         """Execute the plan numerically; blocks until all tasks finish.
 
-        ``t0`` anchors the run's clock (events/deadlines are relative to
-        it); it defaults to "now" and is supplied by callers that span
-        several dispatches (the resilient restart path).
+        ``t0`` anchors a threaded run's clock (events/deadlines are
+        relative to it); it defaults to "now" and is supplied by callers
+        that span several dispatches (the resilient restart path).
+
+        Inline dispatch has suspension points at plan phase boundaries:
+        before executing the first task of each *new* phase it consults
+        ``should_preempt()`` (when given); a True answer freezes the
+        dispatch into a :class:`PhaseCheckpoint`, returned instead of a
+        result.  Pass the checkpoint back (``checkpoint=...``) to resume
+        from the completed-phase frontier; inputs are carried inside it.
+        Each segment executes at least one task, so a pathological
+        always-preempt predicate still terminates in at most
+        ``len(plan.tasks)`` resumptions.
+
+        The resumed run is bit-identical to an uninterrupted one: the
+        checkpoint detaches every committed value from the arena (exact
+        copies), and feed resolution consumes those copies verbatim —
+        interleaved requests through the same kernel/arena cannot
+        perturb it.  ``CoreResult.wall_time_s`` of an inline run counts
+        active execution segments only, never suspended time.
+
+        Raises :class:`~repro.errors.ExecutionError` when a predicate or
+        checkpoint is given to a threaded worker strategy (preemption
+        points are defined by the sequential plan order).
         """
-        t0 = time.perf_counter() if t0 is None else t0
-        state = DispatchState(self.plan, self.template)
-        if isinstance(self.workers, InlineWorkers):
-            return self._run_inline(state, inputs, t0)
-        return self._run_threaded(state, inputs, t0)
+        if not isinstance(self.workers, InlineWorkers):
+            if should_preempt is not None or checkpoint is not None:
+                raise ExecutionError(
+                    "preemptible dispatch requires InlineWorkers; threaded "
+                    "dispatch has no sequential phase boundaries to suspend at"
+                )
+            t0 = time.perf_counter() if t0 is None else t0
+            state = DispatchState(self.plan, self.template)
+            return self._run_threaded(state, inputs, t0)
+        if checkpoint is None:
+            if inputs is None:
+                raise ExecutionError("run needs inputs when starting fresh")
+            state = DispatchState(self.plan, self.template)
+            start, elapsed, preemptions = 0, 0.0, 0
+        else:
+            state = checkpoint.state
+            start = checkpoint.next_index
+            inputs = checkpoint.inputs
+            elapsed = checkpoint.elapsed_s
+            preemptions = checkpoint.preemptions
+        began = time.perf_counter()
+        attempt = self._attempt_stack(state, inputs)
+        tasks = self.plan.tasks  # plan order is topological
+        for i in range(start, len(tasks)):
+            task = tasks[i]
+            if (
+                should_preempt is not None
+                and i > start  # guarantee progress within each segment
+                and task.phase_index != tasks[i - 1].phase_index
+                and should_preempt()
+            ):
+                with state.lock:
+                    # Detach the frontier from the arena: an interloper
+                    # dispatched through this kernel while we are
+                    # suspended reuses (and clobbers) the same buffers.
+                    state.values = {
+                        key: np.copy(value)
+                        for key, value in state.values.items()
+                    }
+                return PhaseCheckpoint(
+                    state=state,
+                    next_index=i,
+                    inputs=inputs,
+                    phase_index=tasks[i - 1].phase_index,
+                    elapsed_s=elapsed + (time.perf_counter() - began),
+                    preemptions=preemptions + 1,
+                )
+            ctx = TaskContext(task=task, device=task.device)
+            try:
+                attempt(ctx)
+            except _GiveUp as exc:
+                raise ExecutionError(
+                    f"task {task.task_id!r} failed after "
+                    f"{exc.attempts} attempt(s): {exc.cause}"
+                ) from exc.cause
+            self._commit(state, ctx)
+        return self._collect(state, elapsed + (time.perf_counter() - began))
 
     # ------------------------------------------------------------------
 
@@ -1052,121 +1137,16 @@ class DispatchKernel:
                     ready.append((dep, dest))
         return ready
 
-    def _collect(self, state: DispatchState, t0: float) -> CoreResult:
+    def _collect(self, state: DispatchState, wall_time_s: float) -> CoreResult:
         outputs = [state.values[(tid, idx)] for tid, idx in self.plan.outputs]
         return CoreResult(
             outputs=outputs,
-            wall_time_s=time.perf_counter() - t0,
+            wall_time_s=wall_time_s,
             task_worker=dict(state.task_worker),
             task_order=list(state.task_order),
         )
 
     # ------------------------------------------------------------------
-
-    def _run_inline(self, state, inputs, t0) -> CoreResult:
-        attempt = self._attempt_stack(state, inputs)
-        for task in self.plan.tasks:  # plan order is topological
-            ctx = TaskContext(task=task, device=task.device)
-            try:
-                attempt(ctx)
-            except _GiveUp as exc:
-                raise ExecutionError(
-                    f"task {task.task_id!r} failed after "
-                    f"{exc.attempts} attempt(s): {exc.cause}"
-                ) from exc.cause
-            self._commit(state, ctx)
-        return self._collect(state, t0)
-
-    def run_preemptible(
-        self,
-        inputs: Mapping[str, np.ndarray] | None = None,
-        should_preempt: Callable[[], bool] | None = None,
-        checkpoint: PhaseCheckpoint | None = None,
-    ) -> CoreResult | PhaseCheckpoint:
-        """Inline execution with suspension points at phase boundaries.
-
-        Runs the plan like :meth:`run` (inline workers only), but before
-        executing the first task of each *new* phase consults
-        ``should_preempt()``; when it returns True the dispatch is
-        frozen into a :class:`PhaseCheckpoint` and returned instead of a
-        result.  Pass the checkpoint back (``checkpoint=...``) to resume
-        from the completed-phase frontier; inputs are carried inside it.
-        Each segment executes at least one task, so a pathological
-        always-preempt predicate still terminates in at most
-        ``len(plan.tasks)`` resumptions.
-
-        The resumed run is bit-identical to an uninterrupted one: the
-        checkpoint detaches every committed value from the arena (exact
-        copies), and feed resolution consumes those copies verbatim —
-        interleaved requests through the same kernel/arena cannot
-        perturb it.  ``CoreResult.wall_time_s`` accumulates only active
-        segments, never suspended time.
-
-        Raises :class:`~repro.errors.ExecutionError` when driven with a
-        threaded worker strategy (preemption points are defined by the
-        sequential plan order).
-        """
-        if not isinstance(self.workers, InlineWorkers):
-            raise ExecutionError(
-                "run_preemptible requires InlineWorkers; threaded "
-                "dispatch has no sequential phase boundaries to suspend at"
-            )
-        if checkpoint is None:
-            if inputs is None:
-                raise ExecutionError(
-                    "run_preemptible needs inputs when starting fresh"
-                )
-            state = DispatchState(self.plan, self.template)
-            start, elapsed, preemptions = 0, 0.0, 0
-        else:
-            state = checkpoint.state
-            start = checkpoint.next_index
-            inputs = checkpoint.inputs
-            elapsed = checkpoint.elapsed_s
-            preemptions = checkpoint.preemptions
-        t0 = time.perf_counter()
-        attempt = self._attempt_stack(state, inputs)
-        tasks = self.plan.tasks  # plan order is topological
-        for i in range(start, len(tasks)):
-            task = tasks[i]
-            if (
-                should_preempt is not None
-                and i > start  # guarantee progress within each segment
-                and task.phase_index != tasks[i - 1].phase_index
-                and should_preempt()
-            ):
-                with state.lock:
-                    # Detach the frontier from the arena: an interloper
-                    # dispatched through this kernel while we are
-                    # suspended reuses (and clobbers) the same buffers.
-                    state.values = {
-                        key: np.copy(value)
-                        for key, value in state.values.items()
-                    }
-                return PhaseCheckpoint(
-                    state=state,
-                    next_index=i,
-                    inputs=inputs,
-                    phase_index=tasks[i - 1].phase_index,
-                    elapsed_s=elapsed + (time.perf_counter() - t0),
-                    preemptions=preemptions + 1,
-                )
-            ctx = TaskContext(task=task, device=task.device)
-            try:
-                attempt(ctx)
-            except _GiveUp as exc:
-                raise ExecutionError(
-                    f"task {task.task_id!r} failed after "
-                    f"{exc.attempts} attempt(s): {exc.cause}"
-                ) from exc.cause
-            self._commit(state, ctx)
-        outputs = [state.values[(tid, idx)] for tid, idx in self.plan.outputs]
-        return CoreResult(
-            outputs=outputs,
-            wall_time_s=elapsed + (time.perf_counter() - t0),
-            task_worker=dict(state.task_worker),
-            task_order=list(state.task_order),
-        )
 
     def _crosses_devices(self, state: DispatchState, task: TaskSpec, dest: str) -> bool:
         """Does ``task`` consume any tensor produced off ``dest``?"""
@@ -1343,4 +1323,4 @@ class DispatchKernel:
         if terminal is not None:
             raise terminal
         policy.finish(state, stuck, join_timeout)
-        return self._collect(state, t0)
+        return self._collect(state, time.perf_counter() - t0)

@@ -29,14 +29,12 @@ lock serializes them.  Sessions are cheap — use one per serving thread.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.runtime.core import (
-    CoreResult,
     DispatchKernel,
     ExecutionEvent,
     InlineWorkers,
@@ -52,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import DuetOptimization
     from repro.runtime.faults import FaultInjector
 
-__all__ = ["SessionResult", "SuspendedRun", "EngineSession"]
+__all__ = ["SessionResult", "EngineSession"]
 
 
 @dataclass
@@ -62,60 +60,15 @@ class SessionResult:
     Attributes:
         outputs: model outputs (owned by the caller; later requests on
             the same session do not invalidate them).
-        wall_time_s: host wall-clock time of this request's dispatch.
+        wall_time_s: host wall-clock time of this request's dispatch
+            (active execution segments; time spent suspended at a phase
+            boundary is not billed).
+        preemptions: how many times the request was suspended.
     """
 
     outputs: list[np.ndarray]
     wall_time_s: float
     preemptions: int = 0
-
-
-class SuspendedRun:
-    """A session request preempted at a plan phase boundary.
-
-    Holds the :class:`~repro.runtime.core.PhaseCheckpoint` of the
-    suspended dispatch.  While suspended, the session lock is released:
-    the same session may serve other (e.g. higher-priority) requests,
-    whose arena reuse cannot perturb the checkpoint (its values are
-    detached copies).  Call :meth:`resume` to continue from the
-    completed-phase frontier; the eventual outputs are bit-identical to
-    an uninterrupted :meth:`EngineSession.run` of the same inputs.
-    """
-
-    def __init__(
-        self,
-        session: "EngineSession",
-        checkpoint: PhaseCheckpoint,
-        should_preempt: Callable[[], bool],
-    ):
-        self._session = session
-        self._checkpoint = checkpoint
-        self._should_preempt = should_preempt
-
-    @property
-    def phase_index(self) -> int:
-        """The last completed phase."""
-        return self._checkpoint.phase_index
-
-    @property
-    def preemptions(self) -> int:
-        """How many times this request has been suspended so far."""
-        return self._checkpoint.preemptions
-
-    def resume(
-        self, should_preempt: Callable[[], bool] | None = None
-    ) -> "SessionResult | SuspendedRun":
-        """Continue execution; may suspend again at a later boundary.
-
-        ``should_preempt`` overrides the predicate for the remaining
-        phases (defaults to the one the run started with).
-        """
-        return self._session._continue(
-            self._checkpoint,
-            should_preempt if should_preempt is not None else (
-                self._should_preempt
-            ),
-        )
 
 
 class EngineSession:
@@ -185,70 +138,40 @@ class EngineSession:
         self._lock = threading.Lock()
         self.requests_served = 0
 
-    def run(self, inputs: Mapping[str, np.ndarray]) -> SessionResult:
-        """One inference; returns outputs the caller owns."""
-        began = time.perf_counter()
+    def run(
+        self,
+        inputs: Mapping[str, np.ndarray] | None = None,
+        should_preempt: Callable[[], bool] | None = None,
+        checkpoint: PhaseCheckpoint | None = None,
+    ) -> "SessionResult | PhaseCheckpoint":
+        """One inference; returns outputs the caller owns.
+
+        With a ``should_preempt`` predicate the request may suspend at a
+        plan phase boundary: the
+        :class:`~repro.runtime.core.PhaseCheckpoint` of the frozen
+        dispatch is returned instead of a result, and passing it back
+        (``checkpoint=...``, inputs are carried inside it) continues
+        from the completed-phase frontier.  The session lock is released
+        while suspended, so the same session may serve other (e.g.
+        higher-priority) requests in between; their arena reuse cannot
+        perturb the checkpoint (its values are detached copies), and the
+        eventual outputs are bit-identical to an uninterrupted run.
+        """
         with self._lock:
-            result = self._kernel.run(inputs)
+            outcome = self._kernel.run(
+                inputs, should_preempt=should_preempt, checkpoint=checkpoint
+            )
+            if isinstance(outcome, PhaseCheckpoint):
+                return outcome
             self.requests_served += 1
-        outputs = [np.copy(o) for o in result.outputs]
-        return SessionResult(
-            outputs=outputs, wall_time_s=time.perf_counter() - began
-        )
+            return SessionResult(
+                outputs=[np.copy(o) for o in outcome.outputs],
+                wall_time_s=outcome.wall_time_s,
+                preemptions=checkpoint.preemptions if checkpoint else 0,
+            )
 
     def run_many(
         self, batches: Iterable[Mapping[str, np.ndarray]]
     ) -> list[SessionResult]:
         """Serve a sequence of requests back to back."""
         return [self.run(inputs) for inputs in batches]
-
-    def run_preemptible(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        should_preempt: Callable[[], bool],
-    ) -> "SessionResult | SuspendedRun":
-        """One inference that may suspend at plan phase boundaries.
-
-        Returns a :class:`SessionResult` when the request ran to
-        completion, or a :class:`SuspendedRun` when ``should_preempt()``
-        fired at a phase boundary.  The session lock is released while
-        suspended, so the caller may serve other requests on this
-        session before resuming; outputs are bit-identical to
-        :meth:`run` either way.
-        """
-        with self._lock:
-            outcome = self._kernel.run_preemptible(
-                inputs, should_preempt=should_preempt
-            )
-            return self._conclude(outcome, should_preempt, preemptions=0)
-
-    def _continue(
-        self,
-        checkpoint: PhaseCheckpoint,
-        should_preempt: Callable[[], bool],
-    ) -> "SessionResult | SuspendedRun":
-        with self._lock:
-            outcome = self._kernel.run_preemptible(
-                should_preempt=should_preempt, checkpoint=checkpoint
-            )
-            return self._conclude(
-                outcome, should_preempt, preemptions=checkpoint.preemptions
-            )
-
-    def _conclude(
-        self,
-        outcome: "CoreResult | PhaseCheckpoint",
-        should_preempt: Callable[[], bool],
-        preemptions: int,
-    ) -> "SessionResult | SuspendedRun":
-        """Wrap a preemptible dispatch outcome (caller holds the lock)."""
-        if isinstance(outcome, PhaseCheckpoint):
-            return SuspendedRun(self, outcome, should_preempt)
-        self.requests_served += 1
-        # wall_time_s counts active execution segments only; a preempted
-        # request is not billed for time spent suspended.
-        return SessionResult(
-            outputs=[np.copy(o) for o in outcome.outputs],
-            wall_time_s=outcome.wall_time_s,
-            preemptions=preemptions,
-        )

@@ -28,23 +28,13 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.runtime.core import (
-    AbortPolicy,
-    DispatchKernel,
-    ThreadedWorkers,
-    execute_kernels,
-    resolve_feeds,
-)
+from repro.runtime.core import AbortPolicy, DispatchKernel, ThreadedWorkers
 from repro.runtime.plan import HeteroPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.runtime.faults import FaultInjector
 
-__all__ = ["ThreadedResult", "ThreadedExecutor", "gather_feeds", "run_kernels"]
-
-# Backward-compatible names for the shared helpers, now owned by the core.
-gather_feeds = resolve_feeds
-run_kernels = execute_kernels
+__all__ = ["ThreadedResult", "ThreadedExecutor"]
 
 
 @dataclass

@@ -45,8 +45,6 @@ from repro.serving.health import (
     SLOT_HEALTHY,
     SLOT_QUARANTINED,
     SLOT_STATE_CODES,
-    AdaptiveShedder,
-    HealthConfig,
     LaneHealth,
     SlotHealth,
     TenantAwareShedder,
@@ -87,13 +85,11 @@ __all__ = [
     "SLOT_STATE_CODES",
     "STACK_SAFE_AXIS_OPS",
     "STACK_SAFE_ELEMENTWISE",
-    "AdaptiveShedder",
     "BatchConfig",
     "BreakerConfig",
     "CircuitBreaker",
     "Counter",
     "Gauge",
-    "HealthConfig",
     "Histogram",
     "HistogramSnapshot",
     "LaneHealth",

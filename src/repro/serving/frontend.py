@@ -43,10 +43,15 @@ existing fault machinery into the frontend:
   :class:`~repro.errors.CircuitOpenError` until half-open probes succeed.
 * **deadline-aware admission and shedding** — requests may carry a
   deadline; expired work is dropped at dequeue time with
-  :class:`~repro.errors.DeadlineExceededError`, and an
-  :class:`~repro.serving.health.AdaptiveShedder` rejects at submit time
-  (:class:`~repro.errors.LoadShedError`) when the observed queue delay
-  makes a deadline unmeetable.
+  :class:`~repro.errors.DeadlineExceededError`, and the lane's
+  :class:`~repro.serving.health.TenantAwareShedder` rejects at submit
+  time (:class:`~repro.errors.LoadShedError`) when the observed queue
+  delay makes a deadline unmeetable.
+
+Every request — executed, expired, shed, or rejected — reaches its
+terminal state in exactly one place, :meth:`_ModelLane._settle`, which
+counts it per model and per tenant, times it, tells the breaker, the
+shedder and the slot, and resolves the future.
 
 Every stage feeds the :class:`~repro.serving.metrics.MetricsRegistry`:
 queue depth/wait, batch sizes and modes, request latencies and outcomes,
@@ -67,7 +72,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -104,11 +109,9 @@ from repro.serving.breaker import (
     BreakerConfig,
     CircuitBreaker,
 )
-from repro.runtime.session import SuspendedRun
 from repro.serving.health import (
     SLOT_HEALTHY,
     SLOT_STATE_CODES,
-    HealthConfig,
     LaneHealth,
     SlotHealth,
     TenantAwareShedder,
@@ -150,8 +153,6 @@ class ServingConfig:
         batching: coalesce compatible queued requests into batches.
         max_batch_size: hard cap on requests per batch.
         max_linger_s: longest a window's first request waits for company.
-        stacking: execute stack-safe plans' batches as one concatenated
-            dispatch (bit-identical; see :mod:`repro.serving.batcher`).
         retry_policy: optional
             :class:`~repro.runtime.resilient.RetryPolicy` installing the
             retry middleware around every task attempt.
@@ -167,29 +168,14 @@ class ServingConfig:
             rejected at submit with :class:`~repro.errors.LoadShedError`
             when observed queue delay predicts the deadline unmeetable.
             Only acts on requests that carry a deadline.
-        shed_margin: safety factor on the shedder's predicted sojourn;
-            2.0 sheds when the deadline is under twice the prediction.
         breaker: per-model circuit-breaker thresholds
             (:class:`~repro.serving.breaker.BreakerConfig`); ``None``
             disables breakers entirely.
-        health: slot health / device-loss recovery knobs
-            (:class:`~repro.serving.health.HealthConfig`); enabled by
-            default — set ``HealthConfig(enabled=False)`` to restore the
-            old fail-forever behaviour on device loss.
         tenants: the :class:`~repro.serving.tenants.TenantRegistry`
             governing per-tenant priority classes, WFQ weights, SLO
             targets, and default deadlines.  ``None`` leaves every
             request on the anonymous standard-class default tenant
-            (single-flow FIFO, the pre-tenant behaviour).
-        preemption: let a waiting higher-priority request interrupt a
-            lower-priority one at its next plan *phase boundary*; the
-            preempted request resumes from its completed-phase frontier
-            with bit-identical outputs.  Tier-0 (critical) work is
-            never preempted.
-        starvation_escape: consecutive dequeues that may bypass a
-            backlogged lower-priority tier before one dequeue is
-            granted to the longest-waiting bypassed request; ``None``
-            disables the escape (pure strict priority).
+            (single-flow FIFO).
     """
 
     queue_capacity: int = 64
@@ -199,19 +185,14 @@ class ServingConfig:
     batching: bool = True
     max_batch_size: int = 8
     max_linger_s: float = 2e-3
-    stacking: bool = True
     retry_policy: "RetryPolicy | None" = None
     validate: bool | None = None
     validate_transfers: bool = False
     seed: int = 0
     default_deadline_s: float | None = None
     shedding: bool = True
-    shed_margin: float = 1.0
     breaker: BreakerConfig | None = None
-    health: HealthConfig = field(default_factory=HealthConfig)
     tenants: TenantRegistry | None = None
-    preemption: bool = True
-    starvation_escape: int | None = 64
 
     def __post_init__(self) -> None:
         if self.admission not in ("block", "reject"):
@@ -229,15 +210,6 @@ class ServingConfig:
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ExecutionError(
                 f"default_deadline_s must be > 0, got {self.default_deadline_s}"
-            )
-        if self.shed_margin <= 0:
-            raise ExecutionError(
-                f"shed_margin must be > 0, got {self.shed_margin}"
-            )
-        if self.starvation_escape is not None and self.starvation_escape < 1:
-            raise ExecutionError(
-                f"starvation_escape must be >= 1 or None, "
-                f"got {self.starvation_escape}"
             )
         # Delegates batch-knob validation.
         self.batch_config()
@@ -441,7 +413,7 @@ class _WorkerSlot:
             else analyze_stack_safety(plan)
         )
         stacked_kernel: DispatchKernel | None = None
-        if config.batching and config.stacking and decision.stackable:
+        if config.batching and decision.stackable:
             # No arena: stacked shapes vary with batch size and would
             # thrash the per-slot buffers; no invariant middleware: the
             # lane validates the *split* outputs instead.
@@ -510,9 +482,7 @@ class _ModelLane:
         self.validate = validate
         self.tenants = config.tenants or TenantRegistry()
         self.queue = WFQAdmissionQueue(
-            config.queue_capacity,
-            classify=self._classify,
-            starvation_escape=config.starvation_escape,
+            config.queue_capacity, classify=self._classify
         )
         self.batch_config = config.batch_config()
         # Critical-tier heads never linger: latency beats batching for
@@ -687,8 +657,6 @@ class _ModelLane:
         """Quarantine ``slot`` and rebuild it onto a survivor's standing
         degradation plan.  Returns True when the slot was rebuilt (the
         caller retries the failed request once on the new session)."""
-        if not self.config.health.enabled:
-            return False
         self.health.mark_lost(exc.device)
         pick = survivor_plan(self.opt.degradation_plans, self.health.lost_devices)
         if pick is None:
@@ -755,14 +723,13 @@ class _ModelLane:
                 break
             if item is _SHUTDOWN:
                 continue
-            self.requests_total.inc(1, model=self.name, outcome="rejected")
-            if self.breaker is not None:
-                self.breaker.record_discard()
-            item._fail(
-                ExecutionError(
+            self._settle(
+                item,
+                "rejected",
+                error=ExecutionError(
                     f"serving frontend closed before the request to model "
                     f"{self.name!r} executed"
-                )
+                ),
             )
         self.queue_depth.set(0, model=self.name)
 
@@ -796,38 +763,90 @@ class _ModelLane:
     def _expired(self, item) -> bool:
         return item is not _SHUTDOWN and self.clock() >= item.expires_at
 
-    def _slo_missed(self, req: ServeFuture, sojourn_s: float) -> None:
-        """Count an SLO miss when the tenant has a target and blew it."""
-        slo = req.tenant.slo_p99_s
-        if slo is not None and sojourn_s > slo:
-            self.tenant_slo_miss.inc(
-                1, model=self.name, tenant=req.tenant.name
-            )
+    def _settle(
+        self,
+        who: "ServeFuture | TenantConfig",
+        outcome: str,
+        wait: float | None = None,
+        sojourn: float | None = None,
+        *,
+        result: ServeResult | None = None,
+        error: BaseException | None = None,
+        reason: str | None = None,
+        slot: _WorkerSlot | None = None,
+    ) -> None:
+        """The one place a request reaches its terminal state.
+
+        ``who`` is the admitted request, or just its tenant when
+        :meth:`ServingFrontend.submit` refuses it before a future exists
+        (the caller then raises; a half-open probe slot such a refusal
+        reserved is handed back by ``submit`` itself).  ``outcome`` is
+        the ``duet_requests_total`` label (ok/error/expired/shed/
+        rejected) and ``reason`` the ``duet_shed_total`` one for work
+        dropped unexecuted.  ``wait`` and ``sojourn`` are observed when
+        known; ``slot`` is the worker slot that executed the request.
+        """
+        req = who if isinstance(who, ServeFuture) else None
+        tenant = who.tenant if req is not None else who
+        name, tname = self.name, tenant.name
+        self.requests_total.inc(1, model=name, outcome=outcome)
+        self.tenant_requests.inc(1, model=name, tenant=tname, outcome=outcome)
+        if reason is not None:
+            self.shed_total.inc(1, model=name, reason=reason)
+        if wait is not None:
+            self.queue_wait.observe(wait, model=name)
+            self.tenant_queue_delay.observe(wait, model=name, tenant=tname)
+        if sojourn is not None:
+            if outcome in ("ok", "error"):  # latency is of executed work
+                self.latency.observe(sojourn, model=name)
+                self.tenant_latency.observe(sojourn, model=name, tenant=tname)
+            slo = tenant.slo_p99_s
+            if slo is not None and sojourn > slo:
+                self.tenant_slo_miss.inc(1, model=name, tenant=tname)
+        if slot is not None:
+            if outcome == "ok":
+                if slot.health.consecutive_failures:
+                    self.slot_failstreak.set(
+                        0, model=name, slot=str(slot.index)
+                    )
+                slot.health.record_success()
+            else:
+                self.slot_failstreak.set(
+                    slot.health.record_failure(),
+                    model=name,
+                    slot=str(slot.index),
+                )
+        if self.shedder is not None and outcome in ("ok", "expired"):
+            # An expiry is hard evidence of congestion too: the request's
+            # sojourn was at least its full wait.
+            self.shedder.observe(wait, sojourn, tenant=tname)
+        if req is None:
+            return
+        if self.breaker is not None:
+            if outcome == "ok":
+                self.breaker.record_success()
+            elif outcome == "error":
+                self.breaker.record_failure()
+            else:
+                self.breaker.record_discard()
+        if error is not None:
+            req._fail(error)
+        else:
+            req._finish(result)
 
     def _expire(self, req: ServeFuture) -> None:
         """Fail a request whose deadline passed while it sat queued."""
         waited = max(0.0, self.clock() - req.enqueued_at)
-        self.requests_total.inc(1, model=self.name, outcome="expired")
-        self.shed_total.inc(1, model=self.name, reason="expired")
-        self.queue_wait.observe(waited, model=self.name)
-        self.tenant_requests.inc(
-            1, model=self.name, tenant=req.tenant.name, outcome="expired"
-        )
-        self.tenant_queue_delay.observe(
-            waited, model=self.name, tenant=req.tenant.name
-        )
-        self._slo_missed(req, waited)
-        if self.breaker is not None:
-            self.breaker.record_discard()
-        if self.shedder is not None:
-            # An expiry is hard evidence of congestion: the request's
-            # sojourn was at least its full wait.
-            self.shedder.observe(waited, waited, tenant=req.tenant.name)
-        req._fail(
-            DeadlineExceededError(
+        self._settle(
+            req,
+            "expired",
+            waited,
+            waited,
+            reason="expired",
+            error=DeadlineExceededError(
                 f"request to model {self.name!r} expired in queue: waited "
                 f"{waited:.4f}s of a {req.deadline_s:.4f}s deadline"
-            )
+            ),
         )
 
     def _worker(self, slot: _WorkerSlot) -> None:
@@ -867,154 +886,133 @@ class _ModelLane:
                 self.queue.put(_SHUTDOWN)
                 carry = None
             self.queue_depth.set(self.queue.qsize(), model=self.name)
-            try:
-                self._execute(slot, batch)
-            except BaseException as exc:
-                # The zero-hung-futures invariant outranks everything: no
-                # matter what broke, every admitted request must reach a
-                # terminal state.
-                for req in batch:
-                    if not req.done():
-                        self.requests_total.inc(
-                            1, model=self.name, outcome="error"
-                        )
-                        if self.breaker is not None:
-                            self.breaker.record_failure()
-                        req._fail(
-                            ExecutionError(
-                                f"serving worker failed while executing a "
-                                f"batch for model {self.name!r}: {exc!r}"
-                            )
-                        )
+            self._execute(slot, batch)
 
     def _execute(self, slot: _WorkerSlot, batch: list[ServeFuture]) -> None:
+        """Run one batch and settle every request in it."""
         self.inflight.inc(len(batch), model=self.name)
         try:
-            began = self.clock()
-            mode = "single" if len(batch) == 1 else "fallback"
-            outputs: list[list[np.ndarray] | None] = [None] * len(batch)
-            errors: list[BaseException | None] = [None] * len(batch)
-            stacked = False
-            if len(batch) > 1 and slot.stacked_kernel is not None:
-                try:
-                    outputs = self._run_stacked_checked(slot, batch)
-                    stacked, mode = True, "stacked"
-                except ReproError:
-                    # Conservative recovery: anything the stacked path
-                    # cannot serve exactly (give-ups and device loss
-                    # included) re-runs per request, where failures
-                    # attribute to individual requests.
-                    outputs = [None] * len(batch)
-            if not stacked:
-                for i, req in enumerate(batch):
-                    if i and self._preemptible(req.tenant.tier):
-                        # Between batch members is a natural preemption
-                        # point too: serve any higher-priority arrivals
-                        # before the next same-tier request.
-                        self._serve_preempting(slot, req.tenant.tier)
-                    try:
-                        outputs[i] = self._run_request(slot, req)
-                    except DeviceLostError as exc:
-                        if self._handle_device_loss(slot, exc):
-                            # The slot now serves from the survivor's
-                            # degradation plan; retry this request once
-                            # (from scratch — any suspended frontier
-                            # belonged to the lost session).
-                            try:
-                                outputs[i] = self._run_request(slot, req)
-                            except ReproError as retry_exc:
-                                errors[i] = retry_exc
-                        else:
-                            errors[i] = exc
-                    except ReproError as exc:
-                        errors[i] = exc
-            wall = self.clock() - began
-            now = self.clock()
-            self.batch_size.observe(len(batch), model=self.name)
-            self.batches_total.inc(1, model=self.name, mode=mode)
-            slot.flush_retry_counters(self)
-            for i, req in enumerate(batch):
-                wait = max(0.0, req.dequeued_at - req.enqueued_at)
-                sojourn = max(0.0, now - req.enqueued_at)
-                self.queue_wait.observe(wait, model=self.name)
-                self.latency.observe(sojourn, model=self.name)
-                outcome = "ok" if errors[i] is None else "error"
-                self.requests_total.inc(1, model=self.name, outcome=outcome)
-                self.tenant_requests.inc(
-                    1,
-                    model=self.name,
-                    tenant=req.tenant.name,
-                    outcome=outcome,
-                )
-                self.tenant_queue_delay.observe(
-                    wait, model=self.name, tenant=req.tenant.name
-                )
-                self.tenant_latency.observe(
-                    sojourn, model=self.name, tenant=req.tenant.name
-                )
-                self._slo_missed(req, sojourn)
-                if errors[i] is not None:
-                    streak = slot.health.record_failure()
-                    self.slot_failstreak.set(
-                        streak, model=self.name, slot=str(slot.index)
-                    )
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
-                    req._fail(errors[i])
-                else:
-                    if slot.health.consecutive_failures:
-                        self.slot_failstreak.set(
-                            0, model=self.name, slot=str(slot.index)
-                        )
-                    slot.health.record_success()
-                    if self.breaker is not None:
-                        self.breaker.record_success()
-                    if self.shedder is not None:
-                        self.shedder.observe(
-                            wait, sojourn, tenant=req.tenant.name
-                        )
-                    req._finish(
-                        ServeResult(
-                            outputs=outputs[i],
-                            model=self.name,
-                            queue_wait_s=wait,
-                            batch_size=len(batch),
-                            stacked=stacked,
-                            wall_time_s=wall,
-                        )
+            self._run_batch(slot, batch)
+        except BaseException as exc:
+            # The zero-hung-futures invariant outranks everything: no
+            # matter what broke, every admitted request must reach a
+            # terminal state.
+            for req in batch:
+                if not req.done():
+                    self._settle(
+                        req,
+                        "error",
+                        error=ExecutionError(
+                            f"serving worker failed while executing a "
+                            f"batch for model {self.name!r}: {exc!r}"
+                        ),
                     )
         finally:
             self.inflight.dec(len(batch), model=self.name)
 
+    def _run_batch(self, slot: _WorkerSlot, batch: list[ServeFuture]) -> None:
+        """Execute ``batch`` (stacked when safe, else request by request)
+        and settle each request with its own outcome."""
+        began = self.clock()
+        mode = "single" if len(batch) == 1 else "fallback"
+        outputs: list[list[np.ndarray] | None] = [None] * len(batch)
+        errors: list[BaseException | None] = [None] * len(batch)
+        stacked = False
+        if len(batch) > 1 and slot.stacked_kernel is not None:
+            try:
+                outputs = self._run_stacked_checked(slot, batch)
+                stacked, mode = True, "stacked"
+            except ReproError:
+                # Conservative recovery: anything the stacked path
+                # cannot serve exactly (give-ups and device loss
+                # included) re-runs per request, where failures
+                # attribute to individual requests.
+                outputs = [None] * len(batch)
+        if not stacked:
+            for i, req in enumerate(batch):
+                if i and req.tenant.tier > 0:
+                    # Between batch members is a natural preemption
+                    # point too: serve any higher-priority arrivals
+                    # before the next same-tier request.
+                    self._serve_preempting(slot, req.tenant.tier)
+                try:
+                    outputs[i] = self._run_request(slot, req)
+                except DeviceLostError as exc:
+                    if self._handle_device_loss(slot, exc):
+                        # The slot now serves from the survivor's
+                        # degradation plan; retry this request once
+                        # (from scratch — any suspended frontier
+                        # belonged to the lost session).
+                        try:
+                            outputs[i] = self._run_request(slot, req)
+                        except ReproError as retry_exc:
+                            errors[i] = retry_exc
+                    else:
+                        errors[i] = exc
+                except ReproError as exc:
+                    errors[i] = exc
+        wall = self.clock() - began
+        now = self.clock()
+        self.batch_size.observe(len(batch), model=self.name)
+        self.batches_total.inc(1, model=self.name, mode=mode)
+        slot.flush_retry_counters(self)
+        for i, req in enumerate(batch):
+            wait = max(0.0, req.dequeued_at - req.enqueued_at)
+            sojourn = max(0.0, now - req.enqueued_at)
+            if errors[i] is not None:
+                self._settle(
+                    req, "error", wait, sojourn, error=errors[i], slot=slot
+                )
+            else:
+                self._settle(
+                    req,
+                    "ok",
+                    wait,
+                    sojourn,
+                    result=ServeResult(
+                        outputs=outputs[i],
+                        model=self.name,
+                        queue_wait_s=wait,
+                        batch_size=len(batch),
+                        stacked=stacked,
+                        wall_time_s=wall,
+                    ),
+                    slot=slot,
+                )
+
     # ------------------------------------------------------------------
     # Phase-boundary preemption
 
-    def _preemptible(self, tier: int) -> bool:
-        """Whether work of ``tier`` yields to higher-priority arrivals
-        at phase boundaries.  Tier 0 has nobody above it."""
-        return self.config.preemption and tier > 0
+    def _run_yielding(self, slot: _WorkerSlot, reqs, run, feeds):
+        """Drive one dispatch of ``feeds`` for ``reqs`` to completion.
 
-    def _run_request(self, slot: _WorkerSlot, req: ServeFuture):
-        """One request on the slot's session, yielding to higher-priority
-        arrivals at plan phase boundaries when preemption is enabled."""
-        tier = req.tenant.tier
-        if not self._preemptible(tier):
-            return slot.session.run(req.inputs).outputs
-        outcome = slot.session.run_preemptible(
-            req.inputs,
-            should_preempt=lambda: self.queue.has_higher_tier(tier),
+        ``run`` is the slot session's ``run`` (one request) or the
+        stacked kernel's (a whole same-tier batch); both take the same
+        ``should_preempt`` / ``checkpoint`` arguments.  Work below tier 0
+        passes a predicate, so it suspends at a plan phase boundary when
+        a strictly higher tier is waiting, the arrivals are served on
+        this slot, and the dispatch resumes from its checkpointed
+        frontier bit-identically.  Tier 0 has nobody above it: it passes
+        no predicate and the same walk never suspends.
+        """
+        tier = reqs[0].tenant.tier
+        should_preempt = (
+            (lambda: self.queue.has_higher_tier(tier)) if tier > 0 else None
         )
-        while isinstance(outcome, SuspendedRun):
-            self._record_preemption(req)
+        outcome = run(feeds, should_preempt=should_preempt)
+        while isinstance(outcome, PhaseCheckpoint):
+            for req in reqs:
+                req.preemptions += 1
+                self.tenant_preemptions.inc(
+                    1, model=self.name, tenant=req.tenant.name
+                )
             self._serve_preempting(slot, tier)
-            outcome = outcome.resume()
+            outcome = run(should_preempt=should_preempt, checkpoint=outcome)
         return outcome.outputs
 
-    def _record_preemption(self, req: ServeFuture) -> None:
-        req.preemptions += 1
-        self.tenant_preemptions.inc(
-            1, model=self.name, tenant=req.tenant.name
-        )
+    def _run_request(self, slot: _WorkerSlot, req: ServeFuture):
+        """One request on the slot's session."""
+        return self._run_yielding(slot, [req], slot.session.run, req.inputs)
 
     def _serve_preempting(self, slot: _WorkerSlot, tier: int) -> None:
         """Drain and execute every request waiting above ``tier``.
@@ -1036,60 +1034,18 @@ class _ModelLane:
             self.queue_depth.set(self.queue.qsize(), model=self.name)
             if self._expired(vip):
                 self._expire(vip)
-                continue
-            try:
+            else:
                 self._execute(slot, [vip])
-            except BaseException as exc:
-                # Same zero-hung-futures guarantee the worker loop gives.
-                if not vip.done():
-                    self.requests_total.inc(
-                        1, model=self.name, outcome="error"
-                    )
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
-                    vip._fail(
-                        ExecutionError(
-                            f"serving worker failed while executing a "
-                            f"preempting request for model "
-                            f"{self.name!r}: {exc!r}"
-                        )
-                    )
 
     def _run_stacked_checked(
         self, slot: _WorkerSlot, batch: list[ServeFuture]
     ) -> list[list[np.ndarray]]:
-        kernel = slot.stacked_kernel
-        tier = batch[0].tenant.tier
-        if self._preemptible(tier):
-
-            def run_feeds(feeds):
-                # The stacked dispatch suspends at phase boundaries too:
-                # a critical arrival interrupts the whole best-effort
-                # batch, runs on the slot's session, and the batch then
-                # resumes from its checkpointed frontier bit-identically.
-                outcome = kernel.run_preemptible(
-                    feeds,
-                    should_preempt=lambda: self.queue.has_higher_tier(tier),
-                )
-                while isinstance(outcome, PhaseCheckpoint):
-                    for req in batch:
-                        self._record_preemption(req)
-                    self._serve_preempting(slot, tier)
-                    outcome = kernel.run_preemptible(
-                        should_preempt=lambda: self.queue.has_higher_tier(
-                            tier
-                        ),
-                        checkpoint=outcome,
-                    )
-                return outcome.outputs
-
-        else:
-
-            def run_feeds(feeds):
-                return kernel.run(feeds).outputs
-
+        # Bound once: a preemptor's device loss may rebuild the slot while
+        # this batch is suspended, and a checkpoint resumes only on the
+        # kernel that produced it.
+        run = slot.stacked_kernel.run
         per_request = run_stacked(
-            run_feeds,
+            lambda feeds: self._run_yielding(slot, batch, run, feeds),
             [req.inputs for req in batch],
             slot.decision.batch,
         )
@@ -1203,7 +1159,6 @@ class ServingFrontend:
                 lane.breaker.state if lane.breaker is not None else None
             ),
             "tenants": lane.tenants.names,
-            "preemption": self.config.preemption,
             "lost_devices": sorted(lane.health.lost_devices),
             "slot_states": [slot.health.state for slot in lane.slots],
         }
@@ -1313,39 +1268,24 @@ class ServingFrontend:
                 f"deadline_s must be > 0, got {deadline_s}"
             )
         if lane.breaker is not None and not lane.breaker.allow():
-            lane.requests_total.inc(1, model=lane.name, outcome="shed")
-            lane.shed_total.inc(1, model=lane.name, reason="breaker_open")
+            lane._settle(tenant_cfg, "shed", reason="breaker_open")
             raise CircuitOpenError(lane.name, lane.breaker.retry_after_s())
         try:
-            if (
-                deadline_s is not None
-                and lane.shedder is not None
-            ):
+            if deadline_s is not None and lane.shedder is not None:
                 predicted = lane.shedder.unmeetable(
                     deadline_s,
-                    self.config.shed_margin,
                     tenant=tenant_cfg.name,
                     backlog_ahead=lane.queue.backlog_ahead(tenant_cfg.tier),
                 )
                 if predicted is not None:
-                    lane.requests_total.inc(
-                        1, model=lane.name, outcome="shed"
+                    # Shed deadlined work never completes — an infinite
+                    # sojourn, hence an SLO miss for a tenant with a target.
+                    lane._settle(
+                        tenant_cfg,
+                        "shed",
+                        sojourn=float("inf"),
+                        reason="unmeetable",
                     )
-                    lane.shed_total.inc(
-                        1, model=lane.name, reason="unmeetable"
-                    )
-                    lane.tenant_requests.inc(
-                        1,
-                        model=lane.name,
-                        tenant=tenant_cfg.name,
-                        outcome="shed",
-                    )
-                    if tenant_cfg.slo_p99_s is not None:
-                        # Shed deadlined work never completes: that is
-                        # an SLO miss for a tenant with a target.
-                        lane.tenant_slo_miss.inc(
-                            1, model=lane.name, tenant=tenant_cfg.name
-                        )
                     raise LoadShedError(lane.name, deadline_s, predicted)
             req = ServeFuture(
                 lane.name,
@@ -1363,9 +1303,7 @@ class ServingFrontend:
                 else:
                     lane.queue.put(req, timeout=self.config.submit_timeout_s)
             except queue.Full:
-                lane.requests_total.inc(
-                    1, model=lane.name, outcome="rejected"
-                )
+                lane._settle(tenant_cfg, "rejected")
                 raise QueueFullError(
                     f"admission queue for model {lane.name!r} is full "
                     f"({self.config.queue_capacity} waiting)"

@@ -23,10 +23,11 @@ Three small, thread-safe pieces the frontend composes:
   every slot so the first slot to observe a loss spares the others a
   doomed dispatch.
 
-* :class:`AdaptiveShedder` — an EWMA of observed queue wait and
-  admission-to-completion sojourn.  At submit time the frontend asks
-  whether a request's deadline is meetable given what the lane has
-  *actually* been delivering; unmeetable work is shed immediately with
+* :class:`TenantAwareShedder` — per-tenant EWMAs of observed queue wait
+  and admission-to-completion sojourn plus one shared service-time
+  estimate.  At submit time the frontend asks whether a request's
+  deadline is meetable given what the lane has *actually* been
+  delivering; unmeetable work is shed immediately with
   :class:`~repro.errors.LoadShedError` instead of expiring in the queue.
 """
 
@@ -42,10 +43,8 @@ __all__ = [
     "SLOT_QUARANTINED",
     "SLOT_DEGRADED",
     "SLOT_STATE_CODES",
-    "HealthConfig",
     "SlotHealth",
     "LaneHealth",
-    "AdaptiveShedder",
     "TenantAwareShedder",
 ]
 
@@ -59,30 +58,6 @@ SLOT_STATE_CODES = {
     SLOT_QUARANTINED: 1,
     SLOT_DEGRADED: 2,
 }
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Knobs of the lane health machinery.
-
-    Attributes:
-        enabled: quarantine/rebuild slots on device loss.  Off, a
-            :class:`~repro.errors.DeviceLostError` simply fails the
-            request (the pre-resilience behaviour).
-        failure_threshold: consecutive per-slot request failures at which
-            the slot is *reported* unhealthy (surfaced through the
-            ``duet_slot_consecutive_failures`` gauge; the per-model
-            circuit breaker is the actor that rejects).
-    """
-
-    enabled: bool = True
-    failure_threshold: int = 5
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ExecutionError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
 
 
 class SlotHealth:
@@ -153,82 +128,26 @@ class LaneHealth:
             return frozenset(self._lost)
 
 
-class AdaptiveShedder:
-    """EWMA-based deadline feasibility check for admission-time shedding.
+@dataclass
+class _TenantEwma:
+    """One tenant's EWMA record (guarded by the shedder's lock)."""
 
-    Observes each completed request's queue wait and total sojourn
-    (admission → completion), keeps exponentially weighted means, and
-    predicts the next request's sojourn.  Before ``warmup`` observations
-    the shedder abstains — no prediction, no shedding — so a cold lane
-    never rejects its first requests on zero evidence.
-
-    Args:
-        alpha: EWMA smoothing factor in (0, 1]; higher reacts faster.
-        warmup: observations required before predictions are offered.
-    """
-
-    def __init__(self, alpha: float = 0.2, warmup: int = 8):
-        if not 0.0 < alpha <= 1.0:
-            raise ExecutionError(f"alpha must be in (0, 1], got {alpha}")
-        if warmup < 1:
-            raise ExecutionError(f"warmup must be >= 1, got {warmup}")
-        self.alpha = alpha
-        self.warmup = warmup
-        self._lock = threading.Lock()
-        self._samples = 0
-        self._queue_wait_s = 0.0
-        self._sojourn_s = 0.0
-
-    def observe(self, queue_wait_s: float, sojourn_s: float) -> None:
-        """Record one completed request's timings."""
-        queue_wait_s = max(0.0, queue_wait_s)
-        sojourn_s = max(0.0, sojourn_s)
-        with self._lock:
-            if self._samples == 0:
-                self._queue_wait_s = queue_wait_s
-                self._sojourn_s = sojourn_s
-            else:
-                a = self.alpha
-                self._queue_wait_s += a * (queue_wait_s - self._queue_wait_s)
-                self._sojourn_s += a * (sojourn_s - self._sojourn_s)
-            self._samples += 1
-
-    def predicted_sojourn_s(self) -> float | None:
-        """Predicted admission-to-completion time; None before warmup."""
-        with self._lock:
-            if self._samples < self.warmup:
-                return None
-            return self._sojourn_s
-
-    def predicted_queue_wait_s(self) -> float | None:
-        """Predicted admission-to-dequeue wait; None before warmup."""
-        with self._lock:
-            if self._samples < self.warmup:
-                return None
-            return self._queue_wait_s
-
-    def unmeetable(self, deadline_s: float, margin: float = 1.0) -> float | None:
-        """Whether a ``deadline_s`` budget is predicted unmeetable.
-
-        Returns the offending prediction (sojourn * margin, in seconds)
-        when the deadline should be shed, else ``None`` — also ``None``
-        while warming up.
-        """
-        predicted = self.predicted_sojourn_s()
-        if predicted is None:
-            return None
-        predicted *= margin
-        return predicted if predicted > deadline_s else None
+    samples: int = 0
+    queue_wait_s: float = 0.0
+    sojourn_s: float = 0.0
 
 
 class TenantAwareShedder:
-    """Per-tenant adaptive shedding with an oracle-seeded service prior.
+    """EWMA-based deadline feasibility check for admission-time shedding.
 
-    Extends :class:`AdaptiveShedder` semantics across tenants:
+    Observes each completed request's queue wait and total sojourn
+    (admission → completion) and predicts the next request's sojourn:
 
     * each tenant gets its own EWMA of queue wait and sojourn (a
       best-effort tenant's inflated sojourns must not shed a critical
-      tenant whose observed latency is fine — and vice versa);
+      tenant whose observed latency is fine — and vice versa).  Before
+      ``warmup`` observations a tenant's EWMAs offer no prediction, so a
+      cold lane never rejects its first requests on zero evidence;
     * one *shared* service-time EWMA (``sojourn - queue wait``) is kept
       across tenants, seeded from the scheduler's
       :class:`~repro.core.scheduler.LatencyOracle`-derived estimate
@@ -244,8 +163,12 @@ class TenantAwareShedder:
       never shed — in favor of a best-effort one.
 
     For a warm tenant with an empty queue the prediction degenerates to
-    exactly the tenant's sojourn EWMA — the single-tenant behaviour of
-    :class:`AdaptiveShedder`.
+    exactly the tenant's sojourn EWMA.
+
+    Args:
+        alpha: EWMA smoothing factor in (0, 1]; higher reacts faster.
+        warmup: observations required before predictions are offered.
+        service_prior_s: cold-start service-time estimate.
     """
 
     DEFAULT_TENANT = "default"
@@ -270,16 +193,14 @@ class TenantAwareShedder:
         self._lock = threading.Lock()
         self._samples = 0
         self._service_s = service_prior_s
-        self._tenants: dict[str, AdaptiveShedder] = {}
+        self._tenants: dict[str, _TenantEwma] = {}
 
-    def _tenant(self, tenant: str | None) -> AdaptiveShedder:
-        name = tenant or self.DEFAULT_TENANT
-        shedder = self._tenants.get(name)
-        if shedder is None:
-            shedder = self._tenants[name] = AdaptiveShedder(
-                alpha=self.alpha, warmup=self.warmup
-            )
-        return shedder
+    def _warm(self, tenant: str | None) -> _TenantEwma | None:
+        """``tenant``'s record once past warmup (caller holds the lock)."""
+        record = self._tenants.get(tenant or self.DEFAULT_TENANT)
+        if record is None or record.samples < self.warmup:
+            return None
+        return record
 
     def observe(
         self,
@@ -288,16 +209,28 @@ class TenantAwareShedder:
         tenant: str | None = None,
     ) -> None:
         """Record one completed request's timings for ``tenant``."""
-        self._tenant(tenant).observe(queue_wait_s, sojourn_s)
         service = max(0.0, sojourn_s - queue_wait_s)
+        queue_wait_s = max(0.0, queue_wait_s)
+        sojourn_s = max(0.0, sojourn_s)
+        a = self.alpha
         with self._lock:
+            record = self._tenants.setdefault(
+                tenant or self.DEFAULT_TENANT, _TenantEwma()
+            )
+            if record.samples == 0:
+                record.queue_wait_s = queue_wait_s
+                record.sojourn_s = sojourn_s
+            else:
+                record.queue_wait_s += a * (queue_wait_s - record.queue_wait_s)
+                record.sojourn_s += a * (sojourn_s - record.sojourn_s)
+            record.samples += 1
             if self._samples == 0 and self.service_prior_s == 0.0:
                 self._service_s = service
             else:
                 # A nonzero oracle prior is blended away rather than
                 # replaced: it anchored cold-start predictions and the
                 # EWMA walks from it to the observed service time.
-                self._service_s += self.alpha * (service - self._service_s)
+                self._service_s += a * (service - self._service_s)
             self._samples += 1
 
     def service_estimate_s(self) -> float:
@@ -307,13 +240,17 @@ class TenantAwareShedder:
 
     def predicted_sojourn_s(self, tenant: str | None = None) -> float | None:
         """``tenant``'s EWMA sojourn; None before its warmup."""
-        return self._tenant(tenant).predicted_sojourn_s()
+        with self._lock:
+            record = self._warm(tenant)
+            return None if record is None else record.sojourn_s
 
     def predicted_queue_wait_s(
         self, tenant: str | None = None
     ) -> float | None:
         """``tenant``'s EWMA queue wait; None before its warmup."""
-        return self._tenant(tenant).predicted_queue_wait_s()
+        with self._lock:
+            record = self._warm(tenant)
+            return None if record is None else record.queue_wait_s
 
     def unmeetable(
         self,
@@ -328,14 +265,15 @@ class TenantAwareShedder:
         estimate for a tenant still warming up) + ``backlog_ahead`` *
         service estimate, scaled by ``margin``.  Returns the offending
         prediction, or None to admit.  A fully cold lane (fewer than
-        ``warmup`` observations across *all* tenants) abstains entirely,
-        matching :class:`AdaptiveShedder`.
+        ``warmup`` observations across *all* tenants) abstains entirely.
         """
-        base = self._tenant(tenant).predicted_sojourn_s()
         with self._lock:
-            if base is None:
-                if self._samples < self.warmup:
-                    return None
+            record = self._warm(tenant)
+            if record is not None:
+                base = record.sojourn_s
+            elif self._samples < self.warmup:
+                return None
+            else:
                 base = self._service_s
             predicted = (base + backlog_ahead * self._service_s) * margin
         return predicted if predicted > deadline_s else None

@@ -20,8 +20,8 @@ execution path and demanding exact agreement:
   directly with the inline worker strategy and an arena — the
   configuration :class:`~repro.runtime.session.EngineSession` serves
   repeated requests with;
-* the same kernel driven *preemptibly*
-  (:meth:`~repro.runtime.core.DispatchKernel.run_preemptible`), forced
+* the same kernel's :meth:`~repro.runtime.core.DispatchKernel.run`
+  given an always-true ``should_preempt`` predicate, forced
   to suspend at **every** plan phase boundary with an interloping
   full dispatch clobbering the shared arena between segments — the
   serving frontend's phase-boundary preemption path, which must resume
@@ -489,13 +489,11 @@ def run_differential(
                 plan, workers=InlineWorkers(), arena=TensorArena()
             )
             hops = 0
-            out = kernel.run_preemptible(feeds, should_preempt=lambda: True)
+            out = kernel.run(feeds, should_preempt=lambda: True)
             while isinstance(out, PhaseCheckpoint):
                 hops += 1
                 kernel.run(feeds)  # interloper clobbers the arena
-                out = kernel.run_preemptible(
-                    should_preempt=lambda: True, checkpoint=out
-                )
+                out = kernel.run(should_preempt=lambda: True, checkpoint=out)
             outcome.outputs = out.outputs
             outcome.task_order = out.task_order
             report.divergences += _compare(

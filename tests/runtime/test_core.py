@@ -12,6 +12,7 @@ from repro.compiler import Compiler
 from repro.compiler.target import CPU_TARGET
 from repro.core import DuetEngine
 from repro.errors import (
+    DeadlineExceededError,
     ExecutionError,
     InvariantViolation,
     TransferError,
@@ -127,6 +128,16 @@ class TestWorkerStrategies:
         bad = _patch_first_kernel(plan, boom)
         with pytest.raises(ValueError, match="not a runtime error"):
             DispatchKernel(bad, workers=InlineWorkers()).run(make_inputs(graph))
+
+    def test_deadline_times_out_under_default_policy(self, plan_and_graph):
+        plan, graph = plan_and_graph
+        kernel = DispatchKernel(plan, workers=ThreadedWorkers(), deadline_s=1e-9)
+        with pytest.raises(DeadlineExceededError, match="end-to-end deadline"):
+            kernel.run(make_inputs(graph))
+        # The shutdown block ran: no device worker outlives the dispatch.
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("duet-worker-")
+        ]
 
     def test_missing_external_input(self, plan_and_graph):
         plan, _ = plan_and_graph

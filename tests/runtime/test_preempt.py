@@ -5,13 +5,13 @@ phase boundary and resumed later produces output bit-identical to an
 uninterrupted run, even when other requests ran through the same
 kernel/arena in between — is exercised three ways:
 
-* directly on :meth:`~repro.runtime.core.DispatchKernel.run_preemptible`
-  with an always-true predicate (suspend at *every* boundary) and
-  arena-clobbering interlopers between segments;
-* through :class:`~repro.runtime.session.EngineSession.run_preemptible`
-  / :class:`~repro.runtime.session.SuspendedRun`, including serving
-  other requests on the same session while suspended;
-* through the differential oracle's new ``preempt`` arm over fuzzed
+* directly on :meth:`~repro.runtime.core.DispatchKernel.run` with an
+  always-true ``should_preempt`` predicate (suspend at *every*
+  boundary) and arena-clobbering interlopers between segments;
+* through :meth:`~repro.runtime.session.EngineSession.run` with the
+  same predicate, including serving other requests on the same session
+  while suspended;
+* through the differential oracle's ``preempt`` arm over fuzzed
   graphs from :mod:`repro.testing.generators` (every live execution
   path must agree, and the arm itself verifies one suspension per
   plan phase boundary).
@@ -32,7 +32,7 @@ from repro.runtime.core import (
     ThreadedWorkers,
 )
 from repro.runtime.memory import TensorArena
-from repro.runtime.session import SessionResult, SuspendedRun
+from repro.runtime.session import SessionResult
 from repro.testing.generators import GeneratorConfig, generate_graph
 from repro.testing.oracle import EXECUTOR_NAMES, run_differential
 
@@ -67,14 +67,12 @@ class TestKernelPreemption:
         assert boundaries >= 1  # wide_deep is the multi-phase model
 
         hops = 0
-        out = kernel.run_preemptible(feeds, should_preempt=lambda: True)
+        out = kernel.run(feeds, should_preempt=lambda: True)
         while isinstance(out, PhaseCheckpoint):
             assert out.next_index > 0  # progress guarantee: >= 1 task ran
             assert out.preemptions == hops + 1
             hops += 1
-            out = kernel.run_preemptible(
-                should_preempt=lambda: True, checkpoint=out
-            )
+            out = kernel.run(should_preempt=lambda: True, checkpoint=out)
         assert hops == boundaries
         for got, want in zip(out.outputs, ref):
             np.testing.assert_array_equal(got, want)
@@ -88,14 +86,12 @@ class TestKernelPreemption:
         kernel = DispatchKernel(
             opt.plan, workers=InlineWorkers(), arena=TensorArena()
         )
-        out = kernel.run_preemptible(feeds, should_preempt=lambda: True)
+        out = kernel.run(feeds, should_preempt=lambda: True)
         suspensions = 0
         while isinstance(out, PhaseCheckpoint):
             suspensions += 1
             kernel.run(other)  # interloper overwrites the arena buffers
-            out = kernel.run_preemptible(
-                should_preempt=lambda: True, checkpoint=out
-            )
+            out = kernel.run(should_preempt=lambda: True, checkpoint=out)
         assert suspensions >= 1
         for got, want in zip(out.outputs, ref):
             np.testing.assert_array_equal(got, want)
@@ -111,7 +107,7 @@ class TestKernelPreemption:
             calls.append(1)
             return False
 
-        out = kernel.run_preemptible(feeds, should_preempt=never)
+        out = kernel.run(feeds, should_preempt=never)
         assert not isinstance(out, PhaseCheckpoint)
         assert len(calls) == phase_boundaries(opt.plan)
 
@@ -120,7 +116,7 @@ class TestKernelPreemption:
         kernel = DispatchKernel(
             opt.plan, workers=InlineWorkers(), arena=TensorArena()
         )
-        out = kernel.run_preemptible(feeds, should_preempt=lambda: False)
+        out = kernel.run(feeds, should_preempt=lambda: False)
         for got, want in zip(out.outputs, ref):
             np.testing.assert_array_equal(got, want)
         assert out.task_order == kernel.run(feeds).task_order
@@ -129,7 +125,7 @@ class TestKernelPreemption:
         engine, opt, feeds, ref = served
         kernel = DispatchKernel(opt.plan, workers=ThreadedWorkers())
         with pytest.raises(ExecutionError, match="InlineWorkers"):
-            kernel.run_preemptible(feeds, should_preempt=lambda: True)
+            kernel.run(feeds, should_preempt=lambda: True)
 
     def test_fresh_start_requires_inputs(self, served):
         engine, opt, feeds, ref = served
@@ -137,7 +133,7 @@ class TestKernelPreemption:
             opt.plan, workers=InlineWorkers(), arena=TensorArena()
         )
         with pytest.raises(ExecutionError, match="inputs"):
-            kernel.run_preemptible(should_preempt=lambda: True)
+            kernel.run(should_preempt=lambda: True)
 
     def test_single_phase_plan_never_suspends(self):
         """A plan with no phase boundaries has no suspension points."""
@@ -150,7 +146,7 @@ class TestKernelPreemption:
         kernel = DispatchKernel(
             opt.plan, workers=InlineWorkers(), arena=TensorArena()
         )
-        out = kernel.run_preemptible(feeds, should_preempt=lambda: True)
+        out = kernel.run(feeds, should_preempt=lambda: True)
         assert not isinstance(out, PhaseCheckpoint)
         for got, want in zip(out.outputs, engine.run(opt, feeds).outputs):
             np.testing.assert_array_equal(got, want)
@@ -160,13 +156,15 @@ class TestSessionPreemption:
     def test_suspend_resume_bit_identical(self, served):
         engine, opt, feeds, ref = served
         session = engine.session(opt)
-        outcome = session.run_preemptible(feeds, should_preempt=lambda: True)
+        outcome = session.run(feeds, should_preempt=lambda: True)
         resumes = 0
-        while isinstance(outcome, SuspendedRun):
+        while isinstance(outcome, PhaseCheckpoint):
             assert outcome.phase_index >= 0
             assert outcome.preemptions == resumes + 1
             resumes += 1
-            outcome = outcome.resume()
+            outcome = session.run(
+                should_preempt=lambda: True, checkpoint=outcome
+            )
         assert isinstance(outcome, SessionResult)
         assert resumes == phase_boundaries(opt.plan)
         assert outcome.preemptions == resumes
@@ -182,24 +180,26 @@ class TestSessionPreemption:
         other = make_inputs(opt.graph, seed=7)
         other_ref = engine.run(opt, other).outputs
         session = engine.session(opt)
-        outcome = session.run_preemptible(feeds, should_preempt=lambda: True)
-        assert isinstance(outcome, SuspendedRun)
-        while isinstance(outcome, SuspendedRun):
+        outcome = session.run(feeds, should_preempt=lambda: True)
+        assert isinstance(outcome, PhaseCheckpoint)
+        while isinstance(outcome, PhaseCheckpoint):
             interloper = session.run(other)  # same session, mid-suspension
             for got, want in zip(interloper.outputs, other_ref):
                 np.testing.assert_array_equal(got, want)
-            outcome = outcome.resume()
+            outcome = session.run(
+                should_preempt=lambda: True, checkpoint=outcome
+            )
         for got, want in zip(outcome.outputs, ref):
             np.testing.assert_array_equal(got, want)
 
     def test_resume_override_predicate(self, served):
         engine, opt, feeds, ref = served
         session = engine.session(opt)
-        outcome = session.run_preemptible(feeds, should_preempt=lambda: True)
-        assert isinstance(outcome, SuspendedRun)
+        outcome = session.run(feeds, should_preempt=lambda: True)
+        assert isinstance(outcome, PhaseCheckpoint)
         # Overriding with never-preempt finishes in one resume even
         # though the original predicate always fires.
-        outcome = outcome.resume(should_preempt=lambda: False)
+        outcome = session.run(should_preempt=lambda: False, checkpoint=outcome)
         assert isinstance(outcome, SessionResult)
         assert outcome.preemptions == 1
         for got, want in zip(outcome.outputs, ref):
@@ -208,16 +208,18 @@ class TestSessionPreemption:
     def test_completion_counts_one_request(self, served):
         engine, opt, feeds, ref = served
         session = engine.session(opt)
-        outcome = session.run_preemptible(feeds, should_preempt=lambda: True)
+        outcome = session.run(feeds, should_preempt=lambda: True)
         assert session.requests_served == 0  # not done yet
-        while isinstance(outcome, SuspendedRun):
-            outcome = outcome.resume()
+        while isinstance(outcome, PhaseCheckpoint):
+            outcome = session.run(
+                should_preempt=lambda: True, checkpoint=outcome
+            )
         assert session.requests_served == 1
 
     def test_never_preempt_is_plain_run(self, served):
         engine, opt, feeds, ref = served
         session = engine.session(opt)
-        outcome = session.run_preemptible(feeds, should_preempt=lambda: False)
+        outcome = session.run(feeds, should_preempt=lambda: False)
         assert isinstance(outcome, SessionResult)
         assert outcome.preemptions == 0
         for got, want in zip(outcome.outputs, ref):

@@ -28,7 +28,6 @@ from repro.serving import (
     BREAKER_STATE_CODES,
     BreakerConfig,
     CircuitBreaker,
-    HealthConfig,
     ServingConfig,
 )
 
@@ -208,9 +207,6 @@ class TestBreakerServing:
             batching=False,
             shedding=False,
             breaker=BreakerConfig(failure_threshold=2, recovery_timeout_s=0.05),
-            # Health off: a device loss fails the request terminally
-            # instead of failing over, which is what feeds the breaker.
-            health=HealthConfig(enabled=False),
         )
         with engine.serve(
             graph, config=config, fault_injectors={"default": injector}
@@ -219,6 +215,8 @@ class TestBreakerServing:
             frontend.request(feeds, timeout_s=30.0)
             assert frontend.lane_info()["breaker_state"] == BREAKER_CLOSED
 
+            # Both devices lost: no survivor to fail over to, so requests
+            # fail terminally, which is what feeds the breaker.
             injector.lose_device("cpu")
             injector.lose_device("gpu")
             for _ in range(2):

@@ -10,7 +10,7 @@ Three layers of the deadline story:
   dropped by the worker (head check and the batch window's ``drop``
   hook) instead of occupying batch slots;
 * admission-time shedding: once the lane's
-  :class:`~repro.serving.health.AdaptiveShedder` has evidence the
+  :class:`~repro.serving.health.TenantAwareShedder` has evidence the
   observed sojourn cannot meet a deadline, :meth:`ServingFrontend.submit`
   raises :class:`~repro.errors.LoadShedError` immediately.
 """
@@ -126,8 +126,6 @@ class TestQueueExpiry:
     def test_config_validates_deadline_and_margin(self):
         with pytest.raises(ExecutionError):
             ServingConfig(default_deadline_s=0.0)
-        with pytest.raises(ExecutionError):
-            ServingConfig(shed_margin=0.0)
 
 
 class TestBatchWindowDrop:

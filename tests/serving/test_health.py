@@ -2,7 +2,7 @@
 
 Unit coverage of the three health pieces (:class:`SlotHealth`'s state
 machine, :class:`LaneHealth`'s lost-device set, the
-:class:`AdaptiveShedder` EWMA math) plus :func:`~repro.runtime.resilient.
+:class:`TenantAwareShedder` EWMA math) plus :func:`~repro.runtime.resilient.
 survivor_plan` selection.  The integration test then walks the whole
 quarantine lifecycle against a real frontend: kill the GPU under a
 :class:`~repro.runtime.faults.ScriptedChaosInjector`, watch the slot
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import DuetEngine
 from repro.devices import default_machine
-from repro.errors import DeviceLostError, ExecutionError, ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.ir import make_inputs
 from repro.models import build_model
 from repro.runtime.faults import ScriptedChaosInjector
@@ -30,11 +30,10 @@ from repro.serving import (
     SLOT_HEALTHY,
     SLOT_QUARANTINED,
     SLOT_STATE_CODES,
-    AdaptiveShedder,
-    HealthConfig,
     LaneHealth,
     ServingConfig,
     SlotHealth,
+    TenantAwareShedder,
 )
 
 
@@ -69,11 +68,6 @@ class TestSlotHealth:
         assert health.degraded_device is None
         assert health.consecutive_failures == 0
         assert health.rebuilds == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ExecutionError):
-            HealthConfig(failure_threshold=0)
-        assert HealthConfig().enabled is True
 
 
 class TestLaneHealth:
@@ -110,16 +104,18 @@ class TestSurvivorPlan:
 
 
 class TestAdaptiveShedder:
+    """The shedder's EWMA math, driven as a single (default) tenant."""
+
     def test_knob_validation(self):
         with pytest.raises(ExecutionError):
-            AdaptiveShedder(alpha=0.0)
+            TenantAwareShedder(alpha=0.0)
         with pytest.raises(ExecutionError):
-            AdaptiveShedder(alpha=1.5)
+            TenantAwareShedder(alpha=1.5)
         with pytest.raises(ExecutionError):
-            AdaptiveShedder(warmup=0)
+            TenantAwareShedder(warmup=0)
 
     def test_abstains_before_warmup(self):
-        shedder = AdaptiveShedder(warmup=3)
+        shedder = TenantAwareShedder(warmup=3)
         shedder.observe(1.0, 2.0)
         shedder.observe(1.0, 2.0)
         assert shedder.predicted_sojourn_s() is None
@@ -127,14 +123,14 @@ class TestAdaptiveShedder:
         assert shedder.unmeetable(1e-9) is None
 
     def test_ewma_matches_hand_computation(self):
-        shedder = AdaptiveShedder(alpha=0.5, warmup=2)
+        shedder = TenantAwareShedder(alpha=0.5, warmup=2)
         shedder.observe(1.0, 2.0)  # first sample initializes the means
         shedder.observe(3.0, 4.0)
         assert shedder.predicted_queue_wait_s() == pytest.approx(2.0)
         assert shedder.predicted_sojourn_s() == pytest.approx(3.0)
 
     def test_unmeetable_compares_margin_scaled_prediction(self):
-        shedder = AdaptiveShedder(alpha=1.0, warmup=1)
+        shedder = TenantAwareShedder(alpha=1.0, warmup=1)
         shedder.observe(0.5, 1.0)
         assert shedder.unmeetable(0.9) == pytest.approx(1.0)
         assert shedder.unmeetable(1.1) is None
@@ -143,7 +139,7 @@ class TestAdaptiveShedder:
         assert shedder.unmeetable(2.5, margin=2.0) is None
 
     def test_negative_timings_clamp_to_zero(self):
-        shedder = AdaptiveShedder(alpha=1.0, warmup=1)
+        shedder = TenantAwareShedder(alpha=1.0, warmup=1)
         shedder.observe(-1.0, -2.0)
         assert shedder.predicted_sojourn_s() == 0.0
 
@@ -215,27 +211,6 @@ class TestDeviceLossRecovery:
             assert frontend.lane_info("m")["lost_devices"] == []
             result = frontend.request(feeds, model="m", timeout_s=30.0)
             assert _identical(result.outputs, want)
-
-    def test_health_disabled_fails_requests_on_device_loss(self):
-        engine, opt, feeds, _ = _mixed_setup()
-        injector = ScriptedChaosInjector()
-        config = ServingConfig(
-            pool_size=1,
-            batching=False,
-            shedding=False,
-            health=HealthConfig(enabled=False),
-        )
-        with engine.serve(
-            {"m": opt}, config=config, fault_injectors={"m": injector}
-        ) as frontend:
-            injector.lose_device("gpu")
-            with pytest.raises(DeviceLostError):
-                frontend.request(feeds, model="m", timeout_s=30.0)
-            info = frontend.lane_info("m")
-            assert info["slot_states"] == [SLOT_HEALTHY]
-            assert info["lost_devices"] == []
-            lane = frontend._lanes["m"]
-            assert lane.slot_quarantines.value(model="m") == 0
 
     def test_no_survivor_fails_requests_without_hanging(self):
         engine, opt, feeds, _ = _mixed_setup()

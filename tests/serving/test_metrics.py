@@ -14,13 +14,27 @@ import pytest
 
 from repro.bench import elementwise_chain
 from repro.core import DuetEngine
-from repro.errors import MetricsError
+from repro.devices import default_machine
+from repro.errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    LoadShedError,
+    MetricsError,
+    QueueFullError,
+    ReproError,
+)
 from repro.ir import make_inputs
+from repro.models import build_model
+from repro.runtime.faults import ScriptedChaosInjector
 from repro.serving import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS_S,
+    BreakerConfig,
     MetricsRegistry,
     ServingConfig,
+    ServingFrontend,
+    TenantConfig,
+    TenantRegistry,
     parse_exposition,
     validate_buckets,
 )
@@ -273,3 +287,132 @@ class TestDeterministicServingScenario:
         assert hist["count"] == samples[
             ("duet_batch_size_count", (("model", "default"),))
         ]
+
+
+def _drive_ok(frontend, feeds, now, injector, lane):
+    futures = [frontend.submit(feeds, tenant="a")]
+    frontend.start()
+    futures[0].result(30.0)
+    return futures
+
+
+def _drive_error(frontend, feeds, now, injector, lane):
+    injector.lose_device("cpu")
+    injector.lose_device("gpu")  # no survivor: the request fails terminally
+    futures = [frontend.submit(feeds, tenant="a")]
+    frontend.start()
+    with pytest.raises(ReproError):
+        futures[0].result(30.0)
+    return futures
+
+
+def _drive_expired(frontend, feeds, now, injector, lane):
+    futures = [frontend.submit(feeds, tenant="a", deadline_s=1.0)]
+    now[0] = 5.0  # the deadline passes while the request sits queued
+    frontend.start()
+    with pytest.raises(DeadlineExceededError):
+        futures[0].result(30.0)
+    return futures
+
+
+def _drive_shed_unmeetable(frontend, feeds, now, injector, lane):
+    for _ in range(lane.shedder.warmup):
+        lane.shedder.observe(1.0, 2.0, tenant="a")
+    with pytest.raises(LoadShedError):
+        frontend.submit(feeds, tenant="a", deadline_s=0.5)
+    return []
+
+
+def _drive_shed_breaker(frontend, feeds, now, injector, lane):
+    lane.breaker.record_failure()  # failure_threshold=1 trips it open
+    with pytest.raises(CircuitOpenError):
+        frontend.submit(feeds, tenant="a")
+    return []
+
+
+def _drive_rejected_full(frontend, feeds, now, injector, lane):
+    futures = [frontend.submit(feeds, tenant="a")]
+    with pytest.raises(QueueFullError):
+        frontend.submit(feeds, tenant="a")
+    return futures  # the admitted one is drained by close()
+
+
+def _drive_rejected_closed(frontend, feeds, now, injector, lane):
+    return [frontend.submit(feeds, tenant="a")]  # never started; close() drains
+
+
+class TestSettleAccounting:
+    """Every terminal outcome is counted once per model *and* once per
+    tenant, and every admitted future reaches exactly one terminal state."""
+
+    CASES = [
+        # (case id, driver, config overrides, {outcome: expected count})
+        ("ok", _drive_ok, {}, {"ok": 1}),
+        ("error", _drive_error, {}, {"error": 1}),
+        ("expired", _drive_expired, {}, {"expired": 1}),
+        ("shed-unmeetable", _drive_shed_unmeetable, {"shedding": True}, {"shed": 1}),
+        (
+            "shed-breaker",
+            _drive_shed_breaker,
+            {"breaker": BreakerConfig(failure_threshold=1, recovery_timeout_s=60.0)},
+            {"shed": 1},
+        ),
+        (
+            "rejected-full",
+            _drive_rejected_full,
+            {"queue_capacity": 1, "admission": "reject"},
+            {"rejected": 2},
+        ),
+        ("rejected-closed", _drive_rejected_closed, {}, {"rejected": 1}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        graph = build_model("siamese", tiny=True)
+        engine = DuetEngine(machine=default_machine(noisy=False))
+        return engine, engine.optimize(graph), make_inputs(graph, seed=0)
+
+    @pytest.mark.parametrize(
+        "drive, overrides, expected",
+        [case[1:] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_tenant_totals_sum_to_model_totals(
+        self, served, drive, overrides, expected
+    ):
+        engine, opt, feeds = served
+        now = [0.0]
+        injector = ScriptedChaosInjector()
+        config = ServingConfig(
+            **{
+                "batching": False,
+                "shedding": False,
+                "tenants": TenantRegistry([TenantConfig(name="a")]),
+                **overrides,
+            }
+        )
+        frontend = ServingFrontend(
+            engine,
+            {"m": opt},
+            config=config,
+            clock=lambda: now[0],
+            fault_injectors={"m": injector},
+            autostart=False,
+        )
+        try:
+            futures = drive(frontend, feeds, now, injector, frontend._lanes["m"])
+        finally:
+            frontend.close()
+
+        per_model = frontend.registry.counter("duet_requests_total")
+        per_tenant = frontend.registry.counter("duet_tenant_requests_total")
+        assert per_model.total() == sum(expected.values())
+        assert per_tenant.total() == per_model.total()
+        for outcome, count in expected.items():
+            assert per_model.value(model="m", outcome=outcome) == count
+            assert (
+                per_tenant.value(model="m", tenant="a", outcome=outcome) == count
+            )
+        for fut in futures:
+            assert fut.done()
+            assert (fut._result is None) != (fut._error is None)

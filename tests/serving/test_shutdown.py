@@ -105,7 +105,7 @@ class TestShutdownUnderInflightFaults:
             def boom(slot, batch):
                 raise RuntimeError("synthetic executor crash")
 
-            lane._execute = boom
+            lane._run_batch = boom
             fut = frontend.submit(feeds)
             with pytest.raises(
                 ExecutionError, match="serving worker failed"
@@ -118,7 +118,7 @@ class TestShutdownUnderInflightFaults:
             )
             # The worker survived the crash: restore the real executor
             # and the lane serves again.
-            del lane._execute
+            del lane._run_batch
             frontend.request(feeds, timeout_s=30.0)
 
 

@@ -3,13 +3,16 @@
 K worker threads hammer the serving frontend with fuzzer-generated
 models and seeded inputs; every response must be `np.array_equal` to a
 solo :class:`~repro.runtime.session.EngineSession` run of the same
-(model, input) pair — the serving layer's core contract.  Three arms:
+(model, input) pair — the serving layer's core contract.  Four arms:
 
 * batching off — pure admission/pooling concurrency;
 * forced batching — long linger windows so requests genuinely coalesce
   (asserted via the batch counters), stacked execution included;
 * fault injection — transient kernel faults and corrupted transfers
-  under a retry middleware stack, still bit-identical.
+  under a retry middleware stack, still bit-identical;
+* critical tier — the forced-batching arm submitted as a tier-0 tenant,
+  so the dispatch walk runs without a preemption predicate (the other
+  arms, standard tier, always pass one).
 
 Run it alone (the CI ``serving-stress`` job does) with::
 
@@ -26,7 +29,7 @@ from repro.ir import make_inputs
 from repro.runtime.faults import FaultInjector, FaultPlan, KernelFault, TransferFault
 from repro.runtime.resilient import RetryPolicy
 from repro.runtime.session import EngineSession
-from repro.serving import ServingConfig
+from repro.serving import ServingConfig, TenantConfig, TenantRegistry
 from repro.testing import GeneratorConfig, case_rng, generate_graph
 
 SEED = 20260806  # fixed: CI replays the exact same campaign
@@ -65,7 +68,7 @@ def fleet():
     return engine, models, expected
 
 
-def _hammer(frontend, expected, n_requests, n_threads):
+def _hammer(frontend, expected, n_requests, n_threads, tenant=None):
     """Drive the frontend from ``n_threads`` threads; returns mismatches."""
     names = sorted({name for name, _ in expected})
     errors = []
@@ -82,7 +85,9 @@ def _hammer(frontend, expected, n_requests, n_threads):
             k = (index // len(names)) % N_INPUT_SEEDS
             feeds, want = expected[(name, k)]
             try:
-                result = frontend.request(feeds, model=name, timeout_s=60.0)
+                result = frontend.request(
+                    feeds, model=name, timeout_s=60.0, tenant=tenant
+                )
             except Exception as exc:  # collected, not raised mid-thread
                 with lock:
                     errors.append(f"request {index} ({name}): {exc!r}")
@@ -136,6 +141,36 @@ def test_stress_forced_batching_bit_identical(fleet):
     assert requests == N_REQUESTS
     # Batching actually happened: strictly fewer dispatches than requests.
     assert batches < requests, (batches, requests)
+
+
+def test_stress_critical_tier_bit_identical(fleet):
+    """Tier 0 passes no preemption predicate: the same walk, never
+    suspended, per-request and stacked, still exact."""
+    engine, models, expected = fleet
+    config = ServingConfig(
+        batching=True,
+        max_batch_size=N_THREADS,
+        max_linger_s=0.02,
+        pool_size=1,
+        queue_capacity=64,
+        tenants=TenantRegistry([TenantConfig(name="vip", priority="critical")]),
+    )
+    with engine.serve(models, config=config) as frontend:
+        errors = _hammer(frontend, expected, N_REQUESTS, N_THREADS, tenant="vip")
+        assert not errors, errors[:5]
+        registry = frontend.registry
+        requests = registry.counter("duet_tenant_requests_total")
+        served = sum(
+            requests.value(model=name, tenant="vip", outcome="ok")
+            for name in models
+        )
+        stacked = sum(
+            registry.counter("duet_batches_total").value(model=name, mode="stacked")
+            for name in models
+        )
+        assert registry.counter("duet_tenant_preemptions_total").total() == 0
+    assert served == N_REQUESTS
+    assert stacked > 0  # already-waiting critical work still coalesces
 
 
 def test_stress_faulty_middleware_stack_bit_identical(fleet):

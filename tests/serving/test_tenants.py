@@ -196,9 +196,9 @@ class TestTenantsJson:
 
 class TestTenantAwareShedder:
     def test_warm_tenant_empty_queue_matches_adaptive_shedder(self):
-        """Regression pin: the single-tenant degeneration is exactly the
-        old AdaptiveShedder behaviour — 8 observations of sojourn 1.0
-        predict 1.0, and a 0.9s deadline is shed with that prediction."""
+        """Regression pin for the single-tenant degeneration: 8
+        observations of sojourn 1.0 predict 1.0, and a 0.9s deadline is
+        shed with that prediction."""
         shedder = TenantAwareShedder()
         for _ in range(shedder.warmup):
             shedder.observe(0.5, 1.0)
@@ -498,7 +498,6 @@ class TestPerTenantMetrics:
         try:
             info = frontend.lane_info("m")
             assert info["tenants"] == ("a",)
-            assert info["preemption"] is True
         finally:
             frontend.close()
 
@@ -572,43 +571,9 @@ class TestFrontendPreemption:
             for got, want in zip(crit_result.outputs, crit_ref):
                 np.testing.assert_array_equal(got, want)
 
-    def test_preemption_disabled_never_suspends(self, served):
-        engine, opt, feeds = served
-        injector = _MidTaskSubmitter()
-        tenants = TenantRegistry(
-            [
-                TenantConfig(name="vip", priority="critical"),
-                TenantConfig(name="bulk", priority="best_effort"),
-            ]
-        )
-        frontend = ServingFrontend(
-            engine,
-            {"m": opt},
-            config=ServingConfig(
-                tenants=tenants,
-                shedding=False,
-                batching=False,
-                preemption=False,
-            ),
-            fault_injectors={"m": injector},
-        )
-        with frontend:
-            injector.frontend = frontend
-            injector.feeds = feeds
-            be_future = frontend.submit(feeds, tenant="bulk")
-            be_future.result(30.0)
-            injector.frontend = None
-            assert injector.critical_future is not None
-            injector.critical_future.result(30.0)
-            assert be_future.preemptions == 0
-            preempted = frontend.registry.counter(
-                "duet_tenant_preemptions_total"
-            )
-            assert preempted.total() == 0
-
     def test_critical_tier_itself_never_preempted(self, served):
-        """Tier 0 has nobody above it: a critical request runs with the
-        plain (non-preemptible) path even when preemption is on."""
+        """Tier 0 has nobody above it: a critical request passes no
+        preemption predicate, so the walk never suspends it."""
         engine, opt, feeds = served
         tenants = TenantRegistry(
             [TenantConfig(name="vip", priority="critical")]
