@@ -9,9 +9,10 @@ system.
 
 from conftest import emit
 
-from repro.bench import closed_loop_burst, format_table
+from repro.bench import format_table
 from repro.core import DuetEngine
 from repro.models import build_model
+from repro.runtime import simulate_stream
 from repro.runtime.single import single_device_plan
 
 N_REQUESTS = 100
@@ -29,7 +30,7 @@ def _run(machine):
             "DUET": opt.plan,
         }
         for system, plan in plans.items():
-            stream = closed_loop_burst(plan, machine, n_requests=N_REQUESTS)
+            stream = simulate_stream(plan, machine, n_requests=N_REQUESTS)
             rows.append(
                 {
                     "model": name,

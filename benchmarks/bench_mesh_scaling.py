@@ -10,7 +10,7 @@ achieves, not an idealized bound.
 
 from conftest import emit
 
-from repro.bench import best_scaling_model, mesh_scoreboard, run_mesh_scaling
+from repro.bench import best_scaling_model, format_table, run_mesh_scaling
 
 
 def test_mesh_scaling(benchmark):
@@ -20,7 +20,11 @@ def test_mesh_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    emit(mesh_scoreboard(rows))
+    emit(
+        format_table(
+            rows, title="Mesh scaling (best policy per model x mesh size)"
+        )
+    )
     model, speedup = best_scaling_model(rows, devices=3)
     emit(f"best 3-device scaler: {model} ({speedup:.3f}x vs 2-device best)")
 

@@ -51,10 +51,10 @@ def test_chaos_phases_report_availability_and_p99():
 
     # The scoreboard itself must be complete: five phases, each with
     # traffic, and the correctness counters empty.
-    assert [p.name for p in report.phases] == [
+    assert [p.name for p in report.boards] == [
         "baseline", "transient", "stall", "outage", "recovery",
     ]
-    for phase in report.phases:
+    for phase in report.boards:
         assert phase.submitted > 0, f"phase {phase.name!r} saw no traffic"
     assert report.hung_futures == 0
     assert report.mismatches == 0
@@ -62,9 +62,9 @@ def test_chaos_phases_report_availability_and_p99():
 
     # Availability through the outage is the headline number: the lane
     # must answer from the surviving device, not just reject fast.
-    outage = report.phase("outage")
+    outage = report.board("outage")
     assert outage.counts["ok"] > 0
     # p99 is only meaningful where requests succeeded.
-    for phase in report.phases:
+    for phase in report.boards:
         if phase.counts["ok"]:
-            assert phase.p99_ms() > 0.0
+            assert phase.p99_s() > 0.0

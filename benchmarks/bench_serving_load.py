@@ -18,7 +18,13 @@ per-request dispatch overhead that dominates at test scale.
 
 from conftest import emit
 
-from repro.bench import elementwise_chain, format_table, run_closed_loop
+from repro.bench import (
+    Client,
+    Scoreboard,
+    elementwise_chain,
+    format_table,
+    run_closed_loop,
+)
 from repro.core import DuetEngine
 from repro.ir import make_inputs
 from repro.serving import ServingConfig
@@ -29,7 +35,7 @@ MIN_SPEEDUP = 1.5
 
 
 def _serve_arm(engine, opt, feeds, *, batching, n_requests, concurrency):
-    """One closed-loop arm; returns (LoadResult, latency-histogram snapshot)."""
+    """One closed-loop arm; returns (Scoreboard, latency-histogram snapshot)."""
     config = ServingConfig(
         queue_capacity=max(64, 2 * concurrency),
         batching=batching,
@@ -37,13 +43,16 @@ def _serve_arm(engine, opt, feeds, *, batching, n_requests, concurrency):
         max_linger_s=2e-3,
         pool_size=1,
     )
+    load = Scoreboard()
     with engine.serve(opt, config=config) as frontend:
         frontend.request(feeds)  # warm-up: weights + arena, paid once
-        load = run_closed_loop(
-            lambda i: frontend.request(feeds),
+        run = run_closed_loop(
+            lambda i, client: frontend.submit(feeds),
+            [Client()] * concurrency,
+            lambda i, client: load,
             n_requests=n_requests,
-            concurrency=concurrency,
         )
+        load.duration_s = run.wall_time_s
         hist = frontend.registry.histogram(
             "duet_request_latency_seconds"
         ).snapshot(model="default")
@@ -74,7 +83,7 @@ def _run(n_requests=N_REQUESTS, concurrency=CONCURRENCY):
                 "p50_ms": hist.quantile(0.50) * 1e3,
                 "p95_ms": hist.quantile(0.95) * 1e3,
                 "p99_ms": hist.quantile(0.99) * 1e3,
-                "errors": load.n_errors,
+                "errors": load.submitted - load.counts["ok"],
             }
         )
     return rows, results
@@ -92,8 +101,8 @@ def test_serving_batched_throughput(benchmark):
         )
     )
     for arm, load in results.items():
-        assert load.n_errors == 0, (arm, load)
-        assert load.n_requests == N_REQUESTS, (arm, load)
+        assert load.counts["error"] == 0, (arm, load)
+        assert load.counts["ok"] == N_REQUESTS, (arm, load)
     speedup = (
         results["batched"].throughput_rps / results["unbatched"].throughput_rps
     )

@@ -33,8 +33,8 @@ def _check(report):
     failures = report.invariant_failures()
     assert not failures, failures
 
-    crit = report.tenant("critical")
-    be = report.tenant("best_effort")
+    crit = report.board("critical")
+    be = report.board("best_effort")
     # Both tenants saw traffic and the scoreboard is complete.
     assert crit.submitted > 0 and be.submitted > 0
     assert crit.counts["ok"] > 0 and be.counts["ok"] > 0

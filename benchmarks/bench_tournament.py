@@ -9,7 +9,12 @@ link discipline wastes queueing an 8 MB input behind a late tensor.
 
 from conftest import emit
 
-from repro.bench import league_table, run_tournament, tournament_winner
+from repro.bench import (
+    LEAGUE_COLUMNS,
+    format_table,
+    run_tournament,
+    tournament_winner,
+)
 
 
 def test_tournament_league(benchmark, machine):
@@ -19,7 +24,13 @@ def test_tournament_league(benchmark, machine):
         rounds=1,
         iterations=1,
     )
-    emit(league_table(rows))
+    emit(
+        format_table(
+            rows,
+            title="Scheduler tournament (lazy vs. overlapped transfers)",
+            columns=LEAGUE_COLUMNS,
+        )
+    )
     lazy_winner = tournament_winner(rows)
     overlap_winner = tournament_winner(rows, column="overlap_ms")
     emit(

@@ -10,7 +10,6 @@ from repro.bench.ablations import (
 from repro.bench.chaos import (
     ChaosPhase,
     ChaosReport,
-    PhaseStats,
     default_chaos_schedule,
     run_chaos_serve,
 )
@@ -28,8 +27,8 @@ from repro.bench.experiments import (
     table3_resnet,
 )
 from repro.bench.loadgen import (
-    LoadResult,
-    closed_loop_burst,
+    Client,
+    Scoreboard,
     elementwise_chain,
     run_closed_loop,
 )
@@ -42,7 +41,6 @@ from repro.bench.mesh import (
     MESH_MODELS,
     best_scaling_model,
     mesh_for,
-    mesh_scoreboard,
     run_mesh_scaling,
 )
 from repro.bench.reporting import (
@@ -53,15 +51,14 @@ from repro.bench.reporting import (
 )
 from repro.bench.slo import (
     SLOReport,
-    TenantStats,
     run_slo_mix,
 )
 from repro.bench.tournament import (
+    LEAGUE_COLUMNS,
     TINY_TOURNAMENT_MODELS,
     TOURNAMENT_MODELS,
     build_tournament_model,
     build_xfer_bound_model,
-    league_table,
     run_tournament,
     tournament_winner,
 )
@@ -80,9 +77,7 @@ __all__ = [
     "BATCH_SIZE_SWEEP",
     "ChaosPhase",
     "ChaosReport",
-    "PhaseStats",
     "SLOReport",
-    "TenantStats",
     "default_chaos_schedule",
     "run_chaos_serve",
     "run_slo_mix",
@@ -90,13 +85,12 @@ __all__ = [
     "MESH_MODELS",
     "best_scaling_model",
     "mesh_for",
-    "mesh_scoreboard",
     "run_mesh_scaling",
+    "LEAGUE_COLUMNS",
     "TINY_TOURNAMENT_MODELS",
     "TOURNAMENT_MODELS",
     "build_tournament_model",
     "build_xfer_bound_model",
-    "league_table",
     "run_tournament",
     "tournament_winner",
     "ablation_correction",
@@ -107,12 +101,12 @@ __all__ = [
     "CNN_DEPTH_SWEEP",
     "EVAL_MODELS",
     "FFN_DEPTH_SWEEP",
-    "LoadResult",
     "RNN_LAYER_SWEEP",
     "SCOREBOARD_MODELS",
     "native_scoreboard",
+    "Client",
+    "Scoreboard",
     "Workload",
-    "closed_loop_burst",
     "elementwise_chain",
     "evaluation_workloads",
     "run_closed_loop",

@@ -13,11 +13,13 @@ through fault regimes::
     baseline -> transient kernel faults -> latency stalls
              -> device outage -> recovery (revive + restore)
 
-Each phase gets its own scoreboard (availability, throughput, p99) and
-the final :class:`ChaosReport` checks the invariants across the whole
-run.  ``python -m repro chaos-serve`` renders the report; the CI smoke
-job runs the same schedule at small scale and fails on any invariant
-violation.
+Each phase gets its own :class:`~repro.bench.loadgen.Scoreboard`
+(availability, throughput, p99) and the final :class:`ChaosReport` checks
+the invariants across the whole run.  The client threads are
+:func:`~repro.bench.loadgen.run_closed_loop`'s; this module only walks
+the schedule on the foreground thread.  ``python -m repro chaos-serve``
+renders the report; the CI smoke job runs the same schedule at small
+scale and fails on any invariant violation.
 
 The injector is a :class:`~repro.runtime.faults.ScriptedChaosInjector`
 shared by the whole worker pool, so the harness exercises exactly the
@@ -29,32 +31,25 @@ hold under every interleaving, and each run probes one.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bench.reporting import format_table
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ExecutionError,
-    LoadShedError,
-    QueueFullError,
-    ReproError,
+from repro.bench.loadgen import (
+    Client,
+    HarnessReport,
+    Scoreboard,
+    reference_corpus,
+    run_closed_loop,
 )
+from repro.errors import ExecutionError
 
 __all__ = [
     "ChaosPhase",
-    "PhaseStats",
     "ChaosReport",
     "default_chaos_schedule",
+    "mixed_serving_opt",
     "run_chaos_serve",
 ]
-
-#: Terminal outcomes a request can reach, in reporting order.
-OUTCOMES = ("ok", "error", "shed", "rejected", "expired", "mismatch")
 
 
 @dataclass(frozen=True)
@@ -104,89 +99,41 @@ def default_chaos_schedule(
     )
 
 
-@dataclass
-class PhaseStats:
-    """Scoreboard of one phase (requests attributed by submit time)."""
-
-    name: str
-    duration_s: float
-    counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(OUTCOMES, 0)
-    )
-    latencies_s: list[float] = field(default_factory=list)
-
-    @property
-    def submitted(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def availability(self) -> float:
-        """Fraction of attempted requests that succeeded in-deadline."""
-        total = self.submitted
-        return self.counts["ok"] / total if total else 0.0
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.counts["ok"] / self.duration_s if self.duration_s else 0.0
-
-    def p99_ms(self) -> float:
-        """p99 of successful-request client latency, in milliseconds."""
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.array(self.latencies_s), 99)) * 1e3
-
-
-@dataclass
-class ChaosReport:
+@dataclass(kw_only=True)
+class ChaosReport(HarnessReport):
     """Everything :func:`run_chaos_serve` measured, invariants included.
 
     Attributes:
-        phases: per-phase scoreboards, in schedule order.
+        boards: per-phase scoreboards, in schedule order (requests
+            attributed by submit time).
         recovery_ratio: recovery-phase throughput over baseline.
-        hung_futures: admitted futures left unresolved after close —
-            must be 0.
-        mismatches: successful responses that were not bit-identical to
-            the solo reference session — must be 0.
-        unaccounted: requests whose client observed no terminal outcome.
         recovery_threshold: required ``recovery_ratio`` floor.
-        metrics_text: the frontend's final metrics exposition.
     """
 
-    phases: list[PhaseStats]
     recovery_ratio: float
-    hung_futures: int
-    mismatches: int
-    unaccounted: int
     recovery_threshold: float
-    metrics_text: str = ""
 
-    def phase(self, name: str) -> PhaseStats:
-        for stats in self.phases:
-            if stats.name == name:
-                return stats
-        raise ExecutionError(f"no phase named {name!r}")
+    title = "chaos-serve phase scoreboard"
+    row_label = "phase"
+    columns = (
+        "phase", "submitted", "ok", "error", "shed", "rejected", "expired",
+        "avail_%", "rps", "p99_ms",
+    )
+    held = (
+        "all resilience invariants held: terminal-state accounting, "
+        "bit-identical successes, nonzero outage availability, "
+        "recovered throughput"
+    )
 
-    def invariant_failures(self) -> list[str]:
-        """Every violated resilience invariant, human-readable."""
+    def summary_lines(self) -> list[str]:
+        return [
+            f"recovery throughput: {self.recovery_ratio:.2f}x of baseline "
+            f"(required >= {self.recovery_threshold:.2f}x)"
+        ]
+
+    def harness_failures(self) -> list[str]:
         failures = []
-        if self.hung_futures:
-            failures.append(
-                f"{self.hung_futures} admitted future(s) never reached a "
-                "terminal state"
-            )
-        if self.unaccounted:
-            failures.append(
-                f"{self.unaccounted} request(s) observed no terminal outcome"
-            )
-        if self.mismatches:
-            failures.append(
-                f"{self.mismatches} successful response(s) were not "
-                "bit-identical to the solo session"
-            )
-        try:
-            outage = self.phase("outage")
-        except ExecutionError:
-            outage = None
+        outage = next((p for p in self.boards if p.name == "outage"), None)
         if outage is not None and outage.counts["ok"] == 0:
             failures.append(
                 "availability hit zero during the outage phase "
@@ -200,56 +147,18 @@ class ChaosReport:
             )
         return failures
 
-    @property
-    def ok(self) -> bool:
-        return not self.invariant_failures()
 
-    def render(self) -> str:
-        """The per-phase table plus the invariant verdict."""
-        rows = []
-        for stats in self.phases:
-            rows.append(
-                {
-                    "phase": stats.name,
-                    "submitted": stats.submitted,
-                    "ok": stats.counts["ok"],
-                    "error": stats.counts["error"],
-                    "shed": stats.counts["shed"],
-                    "rejected": stats.counts["rejected"],
-                    "expired": stats.counts["expired"],
-                    "avail_%": round(stats.availability * 100, 1),
-                    "rps": round(stats.throughput_rps, 1),
-                    "p99_ms": round(stats.p99_ms(), 3),
-                }
-            )
-        lines = [format_table(rows, title="chaos-serve phase scoreboard")]
-        lines.append(
-            f"recovery throughput: {self.recovery_ratio:.2f}x of baseline "
-            f"(required >= {self.recovery_threshold:.2f}x)"
-        )
-        failures = self.invariant_failures()
-        if failures:
-            lines.append("INVARIANT FAILURES:")
-            lines.extend(f"  - {f}" for f in failures)
-        else:
-            lines.append(
-                "all resilience invariants held: terminal-state accounting, "
-                "bit-identical successes, nonzero outage availability, "
-                "recovered throughput"
-            )
-        return "\n".join(lines)
-
-
-def _mixed_serving_opt(engine, graph):
-    """An optimization whose plan spans both devices.
+def mixed_serving_opt(engine, graph):
+    """An optimization whose plan spans more than one device.
 
     The optimizer may legitimately place a tiny model on one device —
     but a chaos run that never touches the device being killed proves
-    nothing, so force an alternating placement (the differential oracle
+    nothing, so force a round-robin placement (the differential oracle
     guarantees any valid placement stays bit-identical).
     """
     from repro.core import CompilerAwareProfiler, partition_graph
     from repro.core.placement import build_hetero_plan
+    from repro.core.schedulers import round_robin_placement
 
     opt = engine.optimize(graph)
     devices = {task.device for task in opt.plan.tasks}
@@ -259,11 +168,11 @@ def _mixed_serving_opt(engine, graph):
     profiles = CompilerAwareProfiler(machine=engine.machine).profile_partition(
         partition
     )
-    placement = {
-        sg.id: ("cpu" if i % 2 == 0 else "gpu")
-        for i, sg in enumerate(partition.subgraphs)
-    }
-    plan = build_hetero_plan(graph, partition, profiles, placement)
+    devices = engine.machine.device_names
+    placement = round_robin_placement(partition, devices)
+    plan = build_hetero_plan(
+        graph, partition, profiles, placement, devices=devices
+    )
     return dataclasses.replace(opt, plan=plan, fallback_device=None)
 
 
@@ -294,28 +203,16 @@ def run_chaos_serve(
     """
     from repro.core import DuetEngine
     from repro.devices import default_machine
-    from repro.ir import make_inputs
     from repro.models import build_model
     from repro.runtime.faults import ScriptedChaosInjector
     from repro.runtime.resilient import RetryPolicy
-    from repro.runtime.session import EngineSession
     from repro.serving import BreakerConfig, ServingConfig
 
     schedule = schedule or default_chaos_schedule()
-    if corpus_size < 1:
-        raise ExecutionError(f"corpus_size must be >= 1, got {corpus_size}")
-    if concurrency < 1:
-        raise ExecutionError(f"concurrency must be >= 1, got {concurrency}")
-
     graph = build_model(model, tiny=tiny)
     engine = DuetEngine(machine=default_machine(noisy=False))
-    opt = _mixed_serving_opt(engine, graph)
-
-    corpus = [make_inputs(graph, seed=seed + i) for i in range(corpus_size)]
-    reference = EngineSession(opt.plan, opt=opt)
-    expected = [
-        [np.copy(o) for o in reference.run(feeds).outputs] for feeds in corpus
-    ]
+    opt = mixed_serving_opt(engine, graph)
+    corpus, expected = reference_corpus(graph, opt, corpus_size, seed)
 
     injector = ScriptedChaosInjector()
     config = ServingConfig(
@@ -331,65 +228,12 @@ def run_chaos_serve(
     )
 
     stats = [
-        PhaseStats(name=p.name, duration_s=p.duration_s) for p in schedule
+        Scoreboard(labels={"phase": p.name}, duration_s=p.duration_s)
+        for p in schedule
     ]
     current_phase = [0]
-    stop = threading.Event()
-    lock = threading.Lock()
-    futures: list = []
-    counters = {"mismatches": 0, "unaccounted": 0}
 
-    def client(worker: int) -> None:
-        k = worker
-        while not stop.is_set():
-            feeds = corpus[k % corpus_size]
-            want = expected[k % corpus_size]
-            k += concurrency
-            phase = current_phase[0]
-            began = time.perf_counter()
-            outcome = None
-            try:
-                fut = frontend.submit(feeds, model="chaos")
-                with lock:
-                    futures.append(fut)
-                result = fut.result(timeout_s=max(4.0, 4 * deadline_s))
-                identical = len(result.outputs) == len(want) and all(
-                    np.array_equal(got, ref)
-                    for got, ref in zip(result.outputs, want)
-                )
-                outcome = "ok" if identical else "mismatch"
-            except (CircuitOpenError, LoadShedError):
-                outcome = "shed"
-            except QueueFullError:
-                outcome = "rejected"
-            except DeadlineExceededError:
-                outcome = "expired"
-            except ReproError:
-                outcome = "error"
-            finally:
-                elapsed = time.perf_counter() - began
-                with lock:
-                    if outcome is None:
-                        counters["unaccounted"] += 1
-                    else:
-                        stats[phase].counts[outcome] += 1
-                        if outcome == "mismatch":
-                            counters["mismatches"] += 1
-                        if outcome == "ok":
-                            stats[phase].latencies_s.append(elapsed)
-            if outcome not in ("ok", "error"):
-                # Refusals return instantly; breathe so a closed loop
-                # cannot spin-submit thousands of doomed requests.
-                time.sleep(1e-3)
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"chaos-{i}",
-                         daemon=True)
-        for i in range(concurrency)
-    ]
-    for t in threads:
-        t.start()
-    try:
+    def walk_schedule() -> None:
         for index, phase in enumerate(schedule):
             current_phase[0] = index
             if phase.lose_device is not None:
@@ -404,22 +248,30 @@ def run_chaos_serve(
                     phase.mode, rate=phase.rate, stall_s=phase.stall_s
                 )
             time.sleep(phase.duration_s)
+
+    try:
+        run = run_closed_loop(
+            lambda i, client: frontend.submit(
+                corpus[i % corpus_size], model="chaos"
+            ),
+            [Client()] * concurrency,
+            lambda i, client: stats[current_phase[0]],
+            foreground=walk_schedule,
+            expected=expected,
+            result_timeout_s=max(4.0, 4 * deadline_s),
+        )
     finally:
-        stop.set()
-        for t in threads:
-            t.join()
         frontend.close()
 
-    hung = sum(1 for fut in futures if not fut.done())
     baseline_rps = stats[0].throughput_rps
     recovery_rps = stats[-1].throughput_rps
     ratio = (recovery_rps / baseline_rps) if baseline_rps > 0 else 0.0
     return ChaosReport(
-        phases=stats,
+        boards=stats,
         recovery_ratio=ratio,
-        hung_futures=hung,
-        mismatches=counters["mismatches"],
-        unaccounted=counters["unaccounted"],
         recovery_threshold=recovery_threshold,
+        hung_futures=run.hung(),
+        mismatches=sum(s.counts["mismatch"] for s in stats),
+        unaccounted=run.unaccounted,
         metrics_text=frontend.render_metrics() if collect_metrics else "",
     )

@@ -7,17 +7,23 @@ Latencies are reported in milliseconds, matching the paper's figures.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.baselines import TVMLikeBaseline, pytorch_like, tensorflow_like
+from repro.bench.ablations import (
+    ablation_correction,
+    ablation_granularity,
+    ablation_profiling,
+)
 from repro.bench.workloads import (
     BATCH_SIZE_SWEEP,
     CNN_DEPTH_SWEEP,
     EVAL_MODELS,
     FFN_DEPTH_SWEEP,
     RNN_LAYER_SWEEP,
+    table1_rows,
 )
 from repro.core import DuetEngine
 from repro.core.partition import partition_graph
@@ -37,6 +43,7 @@ from repro.models import WideDeepConfig, build_model
 from repro.runtime.simulator import simulate
 
 __all__ = [
+    "EXPERIMENTS",
     "fig04_timeline",
     "fig05_comm",
     "fig11_end2end",
@@ -374,3 +381,26 @@ def table3_resnet(
                 }
             )
     return rows
+
+
+#: Every experiment that yields table rows, by the name ``repro bench``
+#: and ``repro report`` know it under.  Each callable runs with no
+#: arguments on the machine its experiment calls for (the tail-latency
+#: one on the noisy machine, the rest noise-free); one that samples a
+#: latency distribution also takes ``n_runs``.
+EXPERIMENTS: dict[str, Callable[..., list[dict]]] = {
+    "table1": table1_rows,
+    "fig5": fig05_comm,
+    "fig11": fig11_end2end,
+    "table2": table2_breakdown,
+    "fig12": fig12_tail,
+    "fig13": fig13_schedulers,
+    "fig14": fig14_rnn_layers,
+    "fig15": fig15_cnn_depth,
+    "fig16": fig16_ffn_depth,
+    "fig17": fig17_batch_size,
+    "table3": table3_resnet,
+    "ablation-profiling": ablation_profiling,
+    "ablation-granularity": ablation_granularity,
+    "ablation-correction": ablation_correction,
+}

@@ -40,7 +40,6 @@ __all__ = [
     "MESH_DEVICE_COUNTS",
     "best_scaling_model",
     "mesh_for",
-    "mesh_scoreboard",
     "run_mesh_scaling",
 ]
 
@@ -166,23 +165,3 @@ def best_scaling_model(
     if not candidates:
         raise SchedulingError(f"no rows for {devices}-device meshes")
     return max(candidates, key=lambda kv: kv[1])
-
-
-def mesh_scoreboard(rows: Sequence[Mapping[str, object]]) -> str:
-    """Render scaling rows with the shared reporting formatter."""
-    from repro.bench.reporting import format_table
-
-    display = [
-        {
-            "model": r["model"],
-            "devices": r["devices"],
-            "policy": r["policy"],
-            "makespan_ms": r["makespan_ms"],
-            "transfer_mb": r["transfer_mb"],
-            "speedup_vs_2dev": r["speedup_vs_2dev"],
-        }
-        for r in rows
-    ]
-    return format_table(
-        display, title="Mesh scaling (best policy per model x mesh size)"
-    )

@@ -10,16 +10,26 @@ __all__ = ["format_table", "format_bars", "format_timeline", "format_hetero_time
 
 
 def _fmt(value: object) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.3f}" if abs(value) < 100 else f"{value:.1f}"
     return str(value)
 
 
-def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
-    """Render row dicts as an aligned text table."""
+def format_table(
+    rows: Sequence[Mapping[str, object]],
+    title: str = "",
+    columns: Sequence[str] | None = None,
+) -> str:
+    """Render row dicts as an aligned text table.
+
+    ``columns`` picks and orders the keys to show (keys it does not name
+    are ignored); the default is every key of the first row.
+    """
     if not rows:
         return f"{title}\n(no rows)"
-    columns = list(rows[0].keys())
+    columns = list(columns or rows[0].keys())
     cells = [[_fmt(r.get(c, "")) for c in columns] for r in rows]
     widths = [
         max(len(col), *(len(row[i]) for row in cells))

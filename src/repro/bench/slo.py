@@ -21,137 +21,90 @@ actually observed (the run exercised the machinery, not a quiet lane),
 and every successful response — preempted or not — bit-identical to a
 solo :class:`~repro.runtime.session.EngineSession`.
 
+Both legs are :func:`~repro.bench.loadgen.run_closed_loop` with a
+foreground function that sleeps one leg; requests count under their
+tenant's :class:`~repro.bench.loadgen.Scoreboard`.
+
 ``python -m repro slo-bench`` renders the scoreboard; the CI
-``slo-smoke`` job runs a short configuration and uploads the per-tenant
-scoreboard as an artifact.
+``slo-smoke`` job runs a short configuration and uploads the report's
+``to_json()`` as an artifact.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.bench.reporting import format_table
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ExecutionError,
-    LoadShedError,
-    QueueFullError,
-    ReproError,
+from repro.bench.loadgen import (
+    TENANT_COLUMNS,
+    Client,
+    HarnessReport,
+    Scoreboard,
+    record_preemptions,
+    reference_corpus,
+    run_closed_loop,
+    tenant_scoreboards,
 )
+from repro.errors import ExecutionError
 
-__all__ = ["TenantStats", "SLOReport", "run_slo_mix"]
-
-#: Terminal outcomes a request can reach, in reporting order.
-OUTCOMES = ("ok", "error", "shed", "rejected", "expired", "mismatch")
+__all__ = ["SLOReport", "run_slo_mix"]
 
 
-@dataclass
-class TenantStats:
-    """One tenant's scoreboard over one leg of the benchmark."""
-
-    tenant: str
-    priority: str
-    duration_s: float
-    slo_p99_s: float | None = None
-    counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(OUTCOMES, 0)
-    )
-    latencies_s: list[float] = field(default_factory=list)
-
-    @property
-    def submitted(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.counts["ok"] / self.duration_s if self.duration_s else 0.0
-
-    def p99_s(self) -> float:
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.array(self.latencies_s), 99))
-
-    @property
-    def slo_misses(self) -> int:
-        """Client-observed completions slower than the SLO target."""
-        if self.slo_p99_s is None:
-            return 0
-        return sum(1 for lat in self.latencies_s if lat > self.slo_p99_s)
-
-    def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "submitted": self.submitted,
-            "counts": dict(self.counts),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "p99_ms": round(self.p99_s() * 1e3, 3),
-            "slo_p99_ms": (
-                None if self.slo_p99_s is None
-                else round(self.slo_p99_s * 1e3, 3)
-            ),
-            "slo_misses": self.slo_misses,
-        }
-
-
-@dataclass
-class SLOReport:
+@dataclass(kw_only=True)
+class SLOReport(HarnessReport):
     """Everything :func:`run_slo_mix` measured, invariants included.
 
     Attributes:
-        mixed: per-tenant scoreboards of the mixed leg.
+        boards: per-tenant scoreboards of the mixed leg.
         isolated_be_rps: best-effort throughput with no competition.
         be_ratio: mixed best-effort throughput over ``isolated_be_rps``.
         be_threshold: required ``be_ratio`` floor.
-        preemptions: phase-boundary suspensions observed (from the
-            ``duet_tenant_preemptions_total`` counter).
-        mismatches: successful responses not bit-identical to the solo
-            session — must be 0.
-        hung_futures: admitted futures never reaching a terminal state —
-            must be 0.
         slo_miss_metric: per-tenant ``duet_tenant_slo_miss_total``
             values from the frontend's registry (server-side view of
             the client-observed ``slo_misses``).
-        metrics_text: the mixed frontend's final metrics exposition.
     """
 
-    mixed: list[TenantStats]
     isolated_be_rps: float
     be_ratio: float
     be_threshold: float
-    preemptions: int
-    mismatches: int
-    hung_futures: int
     slo_miss_metric: dict[str, float] = field(default_factory=dict)
-    metrics_text: str = ""
 
-    def tenant(self, name: str) -> TenantStats:
-        for stats in self.mixed:
-            if stats.tenant == name:
-                return stats
-        raise ExecutionError(f"no tenant named {name!r}")
+    title = "slo-mix tenant scoreboard"
+    row_label = "tenant"
+    columns = TENANT_COLUMNS
+    held = (
+        "all SLO invariants held: terminal-state accounting, critical p99 "
+        "in target with zero misses, best-effort throughput preserved, "
+        "preemption exercised, bit-identical responses"
+    )
 
-    def invariant_failures(self) -> list[str]:
-        """Every violated acceptance invariant, human-readable."""
+    @property
+    def preemptions(self) -> int:
+        """Phase-boundary suspensions observed in the mixed leg."""
+        return sum(stats.preempted for stats in self.boards)
+
+    def summary_lines(self) -> list[str]:
+        return [
+            f"best-effort throughput: {self.be_ratio:.2f}x of isolated "
+            f"baseline ({self.isolated_be_rps:.1f} rps; required >= "
+            f"{self.be_threshold:.2f}x)",
+            f"phase-boundary preemptions: {self.preemptions}",
+        ]
+
+    def harness_failures(self) -> list[str]:
         failures = []
-        for stats in self.mixed:
+        for stats in self.boards:
             if stats.slo_p99_s is None:
                 continue
             p99 = stats.p99_s()
             if p99 > stats.slo_p99_s:
                 failures.append(
-                    f"tenant {stats.tenant!r} p99 {p99 * 1e3:.1f}ms exceeds "
+                    f"tenant {stats.name!r} p99 {p99 * 1e3:.1f}ms exceeds "
                     f"its {stats.slo_p99_s * 1e3:.1f}ms SLO target"
                 )
-            if stats.priority == "critical" and stats.slo_misses:
+            if stats.labels["class"] == "critical" and stats.slo_misses:
                 failures.append(
-                    f"critical tenant {stats.tenant!r} missed its SLO on "
+                    f"critical tenant {stats.name!r} missed its SLO on "
                     f"{stats.slo_misses} request(s); required zero"
                 )
         if self.be_ratio < self.be_threshold:
@@ -165,164 +118,7 @@ class SLOReport:
                 "no phase-boundary preemption was observed; the mixed "
                 "load never exercised the preemption machinery"
             )
-        if self.mismatches:
-            failures.append(
-                f"{self.mismatches} successful response(s) were not "
-                "bit-identical to the solo session"
-            )
-        if self.hung_futures:
-            failures.append(
-                f"{self.hung_futures} admitted future(s) never reached a "
-                "terminal state"
-            )
         return failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.invariant_failures()
-
-    def scoreboard(self) -> dict:
-        """Plain-data per-tenant scoreboard (the CI artifact)."""
-        return {
-            "tenants": [stats.to_dict() for stats in self.mixed],
-            "isolated_best_effort_rps": round(self.isolated_be_rps, 2),
-            "best_effort_ratio": round(self.be_ratio, 3),
-            "best_effort_threshold": self.be_threshold,
-            "preemptions": self.preemptions,
-            "mismatches": self.mismatches,
-            "hung_futures": self.hung_futures,
-            "slo_miss_metric": dict(self.slo_miss_metric),
-            "ok": self.ok,
-            "failures": self.invariant_failures(),
-        }
-
-    def render(self) -> str:
-        """The per-tenant table plus the invariant verdict."""
-        rows = []
-        for stats in self.mixed:
-            rows.append(
-                {
-                    "tenant": stats.tenant,
-                    "class": stats.priority,
-                    "submitted": stats.submitted,
-                    "ok": stats.counts["ok"],
-                    "shed": stats.counts["shed"],
-                    "expired": stats.counts["expired"],
-                    "rps": round(stats.throughput_rps, 1),
-                    "p99_ms": round(stats.p99_s() * 1e3, 3),
-                    "slo_ms": (
-                        "-" if stats.slo_p99_s is None
-                        else round(stats.slo_p99_s * 1e3, 1)
-                    ),
-                    "misses": stats.slo_misses,
-                }
-            )
-        lines = [format_table(rows, title="slo-mix tenant scoreboard")]
-        lines.append(
-            f"best-effort throughput: {self.be_ratio:.2f}x of isolated "
-            f"baseline ({self.isolated_be_rps:.1f} rps; required >= "
-            f"{self.be_threshold:.2f}x)"
-        )
-        lines.append(f"phase-boundary preemptions: {self.preemptions}")
-        failures = self.invariant_failures()
-        if failures:
-            lines.append("INVARIANT FAILURES:")
-            lines.extend(f"  - {f}" for f in failures)
-        else:
-            lines.append(
-                "all SLO invariants held: critical p99 in target with zero "
-                "misses, best-effort throughput preserved, preemption "
-                "exercised, bit-identical responses"
-            )
-        return "\n".join(lines)
-
-    def write_scoreboard(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.scoreboard(), fh, indent=2)
-            fh.write("\n")
-
-
-def _drive(
-    frontend,
-    model: str,
-    corpus,
-    expected,
-    clients,
-    duration_s: float,
-):
-    """Run per-tenant client threads for ``duration_s``.
-
-    ``clients`` is a list of ``(stats, n_threads, think_s)``; each
-    thread is closed-loop within its tenant (submit, wait, optionally
-    think, repeat).  Outcomes and bit-identity are attributed to the
-    thread's tenant scoreboard.  Returns (futures, mismatch_count).
-    """
-    stop = threading.Event()
-    lock = threading.Lock()
-    futures: list = []
-    mismatches = [0]
-
-    def client(stats: TenantStats, think_s: float, worker: int) -> None:
-        k = worker
-        while not stop.is_set():
-            feeds = corpus[k % len(corpus)]
-            want = expected[k % len(corpus)]
-            k += 17  # decorrelate the corpus walk across threads
-            began = time.perf_counter()
-            outcome = None
-            try:
-                fut = frontend.submit(
-                    feeds, model=model, tenant=stats.tenant
-                )
-                with lock:
-                    futures.append(fut)
-                result = fut.result(timeout_s=30.0)
-                identical = len(result.outputs) == len(want) and all(
-                    np.array_equal(got, ref)
-                    for got, ref in zip(result.outputs, want)
-                )
-                outcome = "ok" if identical else "mismatch"
-            except (CircuitOpenError, LoadShedError):
-                outcome = "shed"
-            except QueueFullError:
-                outcome = "rejected"
-            except DeadlineExceededError:
-                outcome = "expired"
-            except ReproError:
-                outcome = "error"
-            finally:
-                elapsed = time.perf_counter() - began
-                with lock:
-                    stats.counts[outcome or "error"] += 1
-                    if outcome == "ok":
-                        stats.latencies_s.append(elapsed)
-                    elif outcome == "mismatch":
-                        mismatches[0] += 1
-            if outcome not in ("ok", "error"):
-                time.sleep(1e-3)  # don't spin-submit doomed requests
-            elif think_s > 0:
-                time.sleep(think_s)
-
-    threads = []
-    for stats, n_threads, think_s in clients:
-        for i in range(n_threads):
-            threads.append(
-                threading.Thread(
-                    target=client,
-                    args=(stats, think_s, i),
-                    name=f"slo-{stats.tenant}-{i}",
-                    daemon=True,
-                )
-            )
-    for t in threads:
-        t.start()
-    try:
-        time.sleep(duration_s)
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    return futures, mismatches[0]
 
 
 def run_slo_mix(
@@ -361,15 +157,11 @@ def run_slo_mix(
     """
     from repro.core import DuetEngine
     from repro.devices import default_machine
-    from repro.ir import make_inputs
     from repro.models import build_model
-    from repro.runtime.session import EngineSession
     from repro.serving import ServingConfig, TenantConfig, TenantRegistry
 
     if duration_s <= 0:
         raise ExecutionError(f"duration_s must be > 0, got {duration_s}")
-    if corpus_size < 1:
-        raise ExecutionError(f"corpus_size must be >= 1, got {corpus_size}")
     if critical_clients < 1 or best_effort_clients < 1:
         raise ExecutionError(
             "need at least one client per tenant: got "
@@ -379,12 +171,7 @@ def run_slo_mix(
     graph = build_model(model, tiny=tiny)
     engine = DuetEngine(machine=default_machine(noisy=False))
     opt = engine.optimize(graph)
-
-    corpus = [make_inputs(graph, seed=seed + i) for i in range(corpus_size)]
-    reference = EngineSession(opt.plan, opt=opt)
-    expected = [
-        [np.copy(o) for o in reference.run(feeds).outputs] for feeds in corpus
-    ]
+    corpus, expected = reference_corpus(graph, opt, corpus_size, seed)
 
     tenants = TenantRegistry(
         [
@@ -403,73 +190,50 @@ def run_slo_mix(
         submit_timeout_s=1.0,
         seed=seed,
     )
+    flood = [Client("best_effort")] * best_effort_clients
+    paced = [Client("critical", critical_think_s)] * critical_clients
 
-    def make_stats(name: str, priority: str, slo=None) -> TenantStats:
-        return TenantStats(
-            tenant=name,
-            priority=priority,
-            duration_s=duration_s,
-            slo_p99_s=slo,
+    def leg(frontend, clients):
+        """One leg: ``clients`` against ``frontend`` for ``duration_s``."""
+        boards = tenant_scoreboards(tenants, duration_s)
+        run = run_closed_loop(
+            lambda i, client: frontend.submit(
+                corpus[i % corpus_size], model=model, tenant=client.tenant
+            ),
+            clients,
+            lambda i, client: boards[client.tenant],
+            foreground=lambda: time.sleep(duration_s),
+            expected=expected,
+            result_timeout_s=30.0,
         )
+        record_preemptions(boards, frontend, model)
+        return boards, run
 
     # Leg 1: best-effort alone — the throughput ceiling.
-    iso_stats = make_stats("best_effort", "best_effort")
-    frontend = engine.serve({model: opt}, config=config)
-    try:
-        iso_futures, iso_mismatch = _drive(
-            frontend,
-            model,
-            corpus,
-            expected,
-            [(iso_stats, best_effort_clients, 0.0)],
-            duration_s,
-        )
-    finally:
-        frontend.close()
-    iso_hung = sum(1 for fut in iso_futures if not fut.done())
+    with engine.serve({model: opt}, config=config) as frontend:
+        iso, iso_run = leg(frontend, flood)
 
     # Leg 2: the mixed-priority run under a fresh frontend.
-    crit_stats = make_stats("critical", "critical", slo=critical_slo_s)
-    be_stats = make_stats("best_effort", "best_effort")
-    frontend = engine.serve({model: opt}, config=config)
-    try:
-        futures, mismatches = _drive(
-            frontend,
-            model,
-            corpus,
-            expected,
-            [
-                (crit_stats, critical_clients, critical_think_s),
-                (be_stats, best_effort_clients, 0.0),
-            ],
-            duration_s,
-        )
-        preempt_counter = frontend.registry.counter(
-            "duet_tenant_preemptions_total"
-        )
-        preemptions = int(preempt_counter.total())
+    with engine.serve({model: opt}, config=config) as frontend:
+        mixed, run = leg(frontend, paced + flood)
         miss_counter = frontend.registry.counter("duet_tenant_slo_miss_total")
         slo_miss_metric = {
-            "critical": miss_counter.value(model=model, tenant="critical"),
-            "best_effort": miss_counter.value(
-                model=model, tenant="best_effort"
-            ),
+            name: miss_counter.value(model=model, tenant=name)
+            for name in mixed
         }
         metrics_text = frontend.render_metrics() if collect_metrics else ""
-    finally:
-        frontend.close()
-    hung = iso_hung + sum(1 for fut in futures if not fut.done())
 
-    iso_rps = iso_stats.throughput_rps
-    ratio = (be_stats.throughput_rps / iso_rps) if iso_rps > 0 else 0.0
+    iso_rps = iso["best_effort"].throughput_rps
+    be_rps = mixed["best_effort"].throughput_rps
+    both_legs = [*iso.values(), *mixed.values()]
     return SLOReport(
-        mixed=[crit_stats, be_stats],
+        boards=list(mixed.values()),
         isolated_be_rps=iso_rps,
-        be_ratio=ratio,
+        be_ratio=(be_rps / iso_rps) if iso_rps > 0 else 0.0,
         be_threshold=be_threshold,
-        preemptions=preemptions,
-        mismatches=mismatches + iso_mismatch,
-        hung_futures=hung,
         slo_miss_metric=slo_miss_metric,
+        hung_futures=iso_run.hung() + run.hung(),
+        unaccounted=iso_run.unaccounted + run.unaccounted,
+        mismatches=sum(b.counts["mismatch"] for b in both_legs),
         metrics_text=metrics_text,
     )

@@ -41,11 +41,11 @@ from repro.ir.graph import Graph
 from repro.models.zoo import build_model
 
 __all__ = [
+    "LEAGUE_COLUMNS",
     "TOURNAMENT_MODELS",
     "TINY_TOURNAMENT_MODELS",
     "build_tournament_model",
     "build_xfer_bound_model",
-    "league_table",
     "run_tournament",
     "tournament_winner",
 ]
@@ -55,6 +55,12 @@ _MS = 1e3
 #: Models of the full-size league: four structurally distinct zoo models
 #: plus the transfer-bound stress model built in this module.
 TOURNAMENT_MODELS = ("wide_deep", "siamese", "mtdnn", "squeezenet", "xfer_bound")
+
+#: The league table: the columns of a :func:`run_tournament` row to show
+#: (``format_table(rows, columns=LEAGUE_COLUMNS)``; ``note`` stays out).
+LEAGUE_COLUMNS = (
+    "model", "policy", "latency_ms", "overlap_ms", "overlap_gain_pct",
+)
 
 #: Fast variant for CI smoke runs: same zoo, tiny configurations.
 TINY_TOURNAMENT_MODELS = TOURNAMENT_MODELS
@@ -223,23 +229,4 @@ def tournament_winner(
         raise SchedulingError("tournament produced no scorable rows")
     return min(
         scores, key=lambda policy: (float(np.mean(scores[policy])), policy)
-    )
-
-
-def league_table(rows: Sequence[Mapping[str, object]]) -> str:
-    """Render tournament rows with the shared reporting formatter."""
-    from repro.bench.reporting import format_table
-
-    display = [
-        {
-            "model": r["model"],
-            "policy": r["policy"],
-            "latency_ms": r["latency_ms"],
-            "overlap_ms": r["overlap_ms"],
-            "overlap_gain_pct": r["overlap_gain_pct"],
-        }
-        for r in rows
-    ]
-    return format_table(
-        display, title="Scheduler tournament (lazy vs. overlapped transfers)"
     )

@@ -13,26 +13,12 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import sys
 from typing import Callable, Sequence
 
-from repro.bench import (
-    ablation_correction,
-    ablation_granularity,
-    ablation_profiling,
-    fig05_comm,
-    fig11_end2end,
-    fig12_tail,
-    fig13_schedulers,
-    fig14_rnn_layers,
-    fig15_cnn_depth,
-    fig16_ffn_depth,
-    fig17_batch_size,
-    format_table,
-    table1_rows,
-    table2_breakdown,
-    table3_resnet,
-)
+from repro.bench import experiments, format_table
 from repro.core import DuetEngine, PhaseType, partition_graph
 from repro.devices import default_machine, load_mesh
 from repro.errors import ReproError
@@ -41,35 +27,45 @@ from repro.models import MODEL_NAMES, build_model
 
 __all__ = ["main"]
 
-_EXPERIMENTS: dict[str, Callable[..., list[dict]]] = {
-    "fig5": fig05_comm,
-    "fig11": fig11_end2end,
-    "fig12": fig12_tail,
-    "fig13": fig13_schedulers,
-    "fig14": fig14_rnn_layers,
-    "fig15": fig15_cnn_depth,
-    "fig16": fig16_ffn_depth,
-    "fig17": fig17_batch_size,
-    "table2": table2_breakdown,
-    "table3": table3_resnet,
-    "ablation-profiling": ablation_profiling,
-    "ablation-granularity": ablation_granularity,
-    "ablation-correction": ablation_correction,
-}
-
-
-def _machine_from_args(args: argparse.Namespace, noisy: bool = False):
+def _machine_from_args(args: argparse.Namespace):
     """The machine a command runs against: ``--mesh FILE`` when given
     (see ``examples/mesh.json``), else the default 2-device machine."""
-    mesh = getattr(args, "mesh", None)
-    if mesh:
-        return load_mesh(mesh)
-    return default_machine(noisy=noisy)
+    if args.mesh:
+        return load_mesh(args.mesh)
+    return default_machine(noisy=False)
+
+
+def _finish(
+    args: argparse.Namespace,
+    text: str,
+    to_json: Callable[[], object],
+    ok: bool = True,
+    metrics_text: str = "",
+) -> int:
+    """The shared tail of the report-printing commands.
+
+    Prints ``text`` (with the metrics exposition appended under
+    ``--metrics``), prints ``to_json()`` under ``--json``, writes the
+    ``--output`` artifact — ``to_json()`` for a ``.json`` path, the
+    printed text otherwise — and exits 1 unless ``ok``.
+    """
+    if getattr(args, "metrics", False):
+        text += "\n\n" + metrics_text.rstrip("\n")
+    print(text)
+    if getattr(args, "json", False):
+        print(json.dumps(to_json(), indent=2))
+    if args.output:
+        if args.output.endswith(".json"):
+            text = json.dumps(to_json(), indent=2)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"report written to {args.output}")
+    return 0 if ok else 1
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     print("models:      " + ", ".join(MODEL_NAMES))
-    print("experiments: table1, " + ", ".join(sorted(_EXPERIMENTS)))
+    print("experiments: " + ", ".join(experiments.EXPERIMENTS))
     return 0
 
 
@@ -165,17 +161,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     out_dir = pathlib.Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    machine = default_machine(noisy=False)
-    noisy = default_machine(noisy=True)
-    jobs = [("table1", lambda: table1_rows())]
-    for name, fn in sorted(_EXPERIMENTS.items()):
-        m = noisy if name == "fig12" else machine
-        if name == "fig12":
-            jobs.append((name, lambda fn=fn, m=m: fn(m, n_runs=args.runs)))
-        else:
-            jobs.append((name, lambda fn=fn, m=m: fn(m)))
-    for name, job in jobs:
-        rows = job()
+    for name, fn in experiments.EXPERIMENTS.items():
+        # An experiment that samples a latency distribution says so by
+        # taking ``n_runs``; ``--runs`` sizes the sample.
+        sampled = "n_runs" in inspect.signature(fn).parameters
+        rows = fn(n_runs=args.runs) if sampled else fn()
         text = format_table(rows, title=name)
         (out_dir / f"{name}.txt").write_text(text + "\n")
         print(f"wrote {out_dir / (name + '.txt')}")
@@ -183,26 +173,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    machine = default_machine(noisy=args.experiment == "fig12")
-    if args.experiment == "table1":
-        print(format_table(table1_rows(), title="Table I"))
-        return 0
-    fn = _EXPERIMENTS.get(args.experiment)
+    fn = experiments.EXPERIMENTS.get(args.experiment)
     if fn is None:
         print(
-            f"unknown experiment {args.experiment!r}; options: table1, "
-            + ", ".join(sorted(_EXPERIMENTS)),
+            f"unknown experiment {args.experiment!r}; options: "
+            + ", ".join(experiments.EXPERIMENTS),
             file=sys.stderr,
         )
         return 2
-    rows = fn(machine)
-    print(format_table(rows, title=args.experiment))
+    print(format_table(fn(), title=args.experiment))
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Closed-loop load through the multi-tenant serving frontend."""
-    from repro.bench import elementwise_chain, format_table, run_closed_loop
+    from repro.bench.loadgen import (
+        OUTCOMES,
+        TENANT_COLUMNS,
+        Client,
+        Scoreboard,
+        elementwise_chain,
+        record_preemptions,
+        run_closed_loop,
+        tenant_scoreboards,
+    )
     from repro.ir import make_inputs
     from repro.serving import ServingConfig, TenantRegistry
 
@@ -228,7 +222,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants=tenants,
     )
     feeds = make_inputs(graph)
-    names = tenants.names if tenants is not None else ()
+    # One scoreboard per tenant, or one (anonymous traffic) for the run.
+    boards = tenant_scoreboards(tenants) if tenants else {None: Scoreboard()}
+    names = tuple(boards)
     with engine.serve(graph, config=config) as frontend:
         info = frontend.lane_info()
         print(
@@ -236,27 +232,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{'on' if config.batching else 'off'}, stacked execution "
             f"{'on' if info['stackable'] else 'off (' + info['stack_reason'] + ')'}"
         )
-        if names:
+        if tenants:
             classes = ", ".join(
-                f"{name}={tenants.resolve(name).priority}" for name in names
+                f"{cfg.name}={cfg.priority} (weight {cfg.weight:g})"
+                for cfg in tenants
             )
             print(f"tenants (round-robin traffic): {classes}")
         frontend.request(feeds)  # warm-up: weights + arena, paid once
-        load = run_closed_loop(
-            lambda i: frontend.request(
-                feeds, tenant=names[i % len(names)] if names else None
+        run = run_closed_loop(
+            lambda i, client: frontend.submit(
+                feeds, tenant=names[i % len(names)]
             ),
+            [Client()] * args.concurrency,
+            lambda i, client: boards[names[i % len(names)]],
             n_requests=args.requests,
-            concurrency=args.concurrency,
+        )
+        for board in boards.values():
+            board.duration_s = run.wall_time_s
+        total = Scoreboard(
+            duration_s=run.wall_time_s,
+            counts={
+                o: sum(b.counts[o] for b in boards.values()) for o in OUTCOMES
+            },
+        )
+        outcomes = [f"{o} {n}" for o, n in total.counts.items() if n]
+        if run.unaccounted:
+            outcomes.append(f"unaccounted {run.unaccounted}")
+        print(
+            f"{total.submitted + run.unaccounted} requests, "
+            f"{args.concurrency} clients: {total.throughput_rps:.0f} req/s "
+            f"({', '.join(outcomes)})"
         )
         hist = frontend.registry.histogram(
             "duet_request_latency_seconds"
         ).merged()
         batches = frontend.registry.counter("duet_batches_total")
-        print(
-            f"{load.n_requests} requests, {args.concurrency} clients: "
-            f"{load.throughput_rps:.0f} req/s ({load.n_errors} errors)"
-        )
         quantiles = {q: hist.quantile_estimate(q) for q in (0.5, 0.95, 0.99)}
         print(
             "latency "
@@ -275,51 +285,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         print(f"batches executed: {batches.total():.0f}")
-        if names:
-            lane_name = info["model"]
-            latency = frontend.registry.histogram(
-                "duet_tenant_request_latency_seconds"
-            )
-            served = frontend.registry.counter("duet_tenant_requests_total")
-            misses = frontend.registry.counter("duet_tenant_slo_miss_total")
-            preempts = frontend.registry.counter(
-                "duet_tenant_preemptions_total"
-            )
-            rows = []
-            for name in names:
-                cfg = tenants.resolve(name)
-                snap = latency.snapshot(model=lane_name, tenant=name)
-                p99, clamped = snap.quantile_estimate(0.99)
-                rows.append(
-                    {
-                        "tenant": name,
-                        "class": cfg.priority,
-                        "weight": cfg.weight,
-                        "ok": int(
-                            served.value(
-                                model=lane_name, tenant=name, outcome="ok"
-                            )
-                        ),
-                        "p99_ms": f"{p99 * 1e3:.3f}"
-                        + (">=" if clamped else ""),
-                        "slo_ms": (
-                            "-" if cfg.slo_p99_s is None
-                            else f"{cfg.slo_p99_s * 1e3:.1f}"
-                        ),
-                        "misses": int(
-                            misses.value(model=lane_name, tenant=name)
-                        ),
-                        "preempted": int(
-                            preempts.value(model=lane_name, tenant=name)
-                        ),
-                    }
-                )
+        if tenants:
+            record_preemptions(boards, frontend, info["model"])
             print()
-            print(format_table(rows, title="per-tenant scoreboard"))
+            print(
+                format_table(
+                    [board.to_row() for board in boards.values()],
+                    title="per-tenant scoreboard",
+                    columns=TENANT_COLUMNS,
+                )
+            )
         if args.metrics:
             print()
             print(frontend.render_metrics(), end="")
-    return 0
+    # Refusals are answers; only a request with no answer fails the run.
+    return 1 if run.unaccounted else 0
 
 
 def _cmd_chaos_serve(args: argparse.Namespace) -> int:
@@ -327,105 +307,67 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     resilience invariants checked."""
     from repro.bench import default_chaos_schedule, run_chaos_serve
 
-    schedule = default_chaos_schedule(
-        phase_s=args.phase_seconds, device=args.lose_device
-    )
     report = run_chaos_serve(
-        schedule=schedule,
-        model=args.model,
-        tiny=args.tiny,
-        concurrency=args.concurrency,
-        pool_size=args.pool_size,
-        deadline_s=args.deadline_ms * 1e-3,
-        seed=args.seed,
+        schedule=default_chaos_schedule(phase_s=args.phase_seconds),
         recovery_threshold=args.recovery_threshold,
     )
-    text = report.render()
-    print(text)
-    if args.metrics:
-        print()
-        print(report.metrics_text, end="")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-            if args.metrics:
-                fh.write("\n" + report.metrics_text)
-        print(f"chaos report written to {args.output}")
-    if not report.ok and not args.no_strict:
-        return 1
-    return 0
+    return _finish(
+        args, report.render(), report.to_json, report.ok, report.metrics_text
+    )
 
 
 def _cmd_slo_bench(args: argparse.Namespace) -> int:
     """Mixed-priority SLO benchmark: critical latency vs best-effort
     throughput, with the two-sided scheduling invariants checked."""
-    import json as _json
-
     from repro.bench import run_slo_mix
 
     report = run_slo_mix(
         duration_s=args.duration_seconds,
-        model=args.model,
-        tiny=args.tiny,
-        critical_clients=args.critical_clients,
-        critical_think_s=args.critical_think_ms * 1e-3,
-        critical_slo_s=args.slo_ms * 1e-3,
-        best_effort_clients=args.best_effort_clients,
-        seed=args.seed,
         be_threshold=args.best_effort_threshold,
-        pool_size=args.pool_size,
     )
-    print(report.render())
-    if args.metrics:
-        print()
-        print(report.metrics_text, end="")
-    if args.output:
-        report.write_scoreboard(args.output)
-        print(f"slo scoreboard written to {args.output}")
-    if args.json:
-        print(_json.dumps(report.scoreboard(), indent=2))
-    if not report.ok and not args.no_strict:
-        return 1
-    return 0
+    return _finish(
+        args, report.render(), report.to_json, report.ok, report.metrics_text
+    )
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
     """League table: every scheduling policy x every model, both transfer
     disciplines."""
     from repro.bench import (
+        LEAGUE_COLUMNS,
         TOURNAMENT_MODELS,
-        league_table,
         run_tournament,
         tournament_winner,
     )
-    models = tuple(args.models) if args.models else TOURNAMENT_MODELS
-    policies = tuple(args.policies) if args.policies else None
+
     rows = run_tournament(
-        models=models,
-        policies=policies,
+        models=tuple(args.models) if args.models else TOURNAMENT_MODELS,
+        policies=tuple(args.policies) if args.policies else None,
         machine=_machine_from_args(args),
         seed=args.seed,
         tiny=args.tiny,
     )
-    table = league_table(rows)
-    lazy_winner = tournament_winner(rows)
-    overlap_winner = tournament_winner(rows, column="overlap_ms")
-    summary = (
-        f"league winners — lazy: {lazy_winner}, overlapped: {overlap_winner}"
+    winners = {
+        "lazy": tournament_winner(rows),
+        "overlapped": tournament_winner(rows, column="overlap_ms"),
+    }
+    for r in rows:
+        if r["note"]:
+            print(
+                f"forfeit: {r['policy']} on {r['model']}: {r['note']}",
+                file=sys.stderr,
+            )
+    table = format_table(
+        rows,
+        title="Scheduler tournament (lazy vs. overlapped transfers)",
+        columns=LEAGUE_COLUMNS,
     )
-    print(table)
-    print(summary)
-    forfeits = [r for r in rows if r.get("note")]
-    for r in forfeits:
-        print(
-            f"forfeit: {r['policy']} on {r['model']}: {r['note']}",
-            file=sys.stderr,
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n" + summary + "\n")
-        print(f"league table written to {args.output}")
-    return 0
+    return _finish(
+        args,
+        f"{table}\nleague winners — lazy: {winners['lazy']}, "
+        f"overlapped: {winners['overlapped']}",
+        lambda: {"rows": rows, "winners": winners},
+    )
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -476,305 +418,212 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arg(flag: str, **spec) -> tuple[str, dict]:
+    """One command-line argument: the flag (or positional) and its spec."""
+    return flag, spec
+
+
+def _but(arg: tuple[str, dict], **overrides) -> tuple[str, dict]:
+    """A shared argument with part of its spec replaced for one command."""
+    return arg[0], {**arg[1], **overrides}
+
+
+# Arguments more than one command takes, each specified once.
+_MODEL = _arg("model", choices=MODEL_NAMES, help="zoo model")
+_TINY = _arg("--tiny", action="store_true", help="test-scale configuration")
+_MESH = _arg(
+    "--mesh", default=None, metavar="FILE",
+    help="run on an N-device mesh loaded from a topology JSON file (see "
+    "examples/mesh.json) instead of the default CPU+GPU machine",
+)
+_SEED = _arg("--seed", type=int, default=0, help="random seed")
+_METRICS = _arg(
+    "--metrics", action="store_true",
+    help="also print the Prometheus-style metrics exposition",
+)
+_OUTPUT = _arg(
+    "--output", default=None, metavar="FILE",
+    help="also write the report to FILE (as JSON when it ends in .json)",
+)
+
+#: name -> (handler, help, arguments): the whole command-line surface.
+_COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
+    "list": (_cmd_list, "list models and experiments", ()),
+    "info": (_cmd_info, "model and partition statistics", (_MODEL, _TINY)),
+    "print": (_cmd_print, "dump the Relay-style IR", (_MODEL, _TINY)),
+    "optimize": (_cmd_optimize, "run the full DUET pipeline", (
+        _but(_MODEL, nargs="?"),
+        _arg(
+            "--spec", default=None, metavar="PATH",
+            help="optimize a declarative JSON model spec instead of a zoo model",
+        ),
+        _TINY,
+        _arg("--noisy", action="store_true", help="enable latency noise"),
+        _arg(
+            "--runs", type=int, default=0,
+            help="additionally sample a latency distribution of this many runs",
+        ),
+        _arg(
+            "--session-runs", type=int, default=0, metavar="N",
+            help="serve N requests through a reusable engine session and "
+            "report the measured per-request wall time",
+        ),
+        _arg(
+            "--profile-cache", default=None, metavar="PATH",
+            help="reuse/write the offline profiling artifact at PATH",
+        ),
+    )),
+    "bench": (_cmd_bench, "run one paper experiment", (_arg("experiment"),)),
+    "report": (
+        _cmd_report, "regenerate every experiment table into a directory", (
+            _but(_OUTPUT, default="results", metavar="DIR", help="target directory"),
+            _arg(
+                "--runs", type=int, default=2000,
+                help="sample count for the tail-latency experiment",
+            ),
+        ),
+    ),
+    "serve": (
+        _cmd_serve,
+        "drive the multi-tenant serving frontend with closed-loop load", (
+            _but(
+                _MODEL, nargs="?",
+                help="zoo model to serve (default: a stack-safe elementwise chain)",
+            ),
+            _TINY,
+            _arg(
+                "--requests", type=int, default=200, metavar="N",
+                help="number of requests to serve",
+            ),
+            _arg(
+                "--concurrency", type=int, default=8, metavar="K",
+                help="closed-loop client threads",
+            ),
+            _arg("--max-batch", type=int, default=8, help="dynamic batch size cap"),
+            _arg(
+                "--linger-ms", type=float, default=2.0,
+                help="max time a batch window waits for company",
+            ),
+            _arg("--pool-size", type=int, default=1, help="worker sessions per model"),
+            _arg(
+                "--queue-capacity", type=int, default=64,
+                help="bound of the admission queue",
+            ),
+            _arg(
+                "--admission", choices=("block", "reject"), default="block",
+                help="backpressure mode when the queue is full",
+            ),
+            _arg(
+                "--no-batching", action="store_true",
+                help="serve every request as its own dispatch",
+            ),
+            _METRICS,
+            _MESH,
+            _arg(
+                "--tenants", default=None, metavar="FILE",
+                help="tenants JSON file (see examples/tenants.json); traffic is "
+                "spread round-robin across the registered tenants and a "
+                "per-tenant scoreboard is printed",
+            ),
+        ),
+    ),
+    "chaos-serve": (
+        _cmd_chaos_serve,
+        "scripted fault schedule against the serving frontend "
+        "(transients -> stalls -> device loss -> recovery), invariants on", (
+            _arg(
+                "--phase-seconds", type=float, default=1.0, metavar="S",
+                help="duration of each fault phase",
+            ),
+            _arg(
+                "--recovery-threshold", type=float, default=0.8,
+                help="required post-recovery throughput as a fraction of baseline",
+            ),
+            _METRICS,
+            _OUTPUT,
+        ),
+    ),
+    "slo-bench": (
+        _cmd_slo_bench,
+        "mixed-priority SLO benchmark: a paced critical tenant vs a "
+        "best-effort flood, two-sided invariants checked", (
+            _arg(
+                "--duration-seconds", type=float, default=2.0, metavar="S",
+                help="length of each leg (isolated baseline, then the mix)",
+            ),
+            _arg(
+                "--best-effort-threshold", type=float, default=0.7,
+                help="required best-effort throughput as a fraction of its "
+                "isolated baseline",
+            ),
+            _METRICS,
+            _arg("--json", action="store_true", help="also print the report as JSON"),
+            _OUTPUT,
+        ),
+    ),
+    "tournament": (
+        _cmd_tournament,
+        "scheduler league: every policy x model, lazy vs. overlap", (
+            _arg(
+                "--models", nargs="+", default=None, metavar="NAME",
+                help="tournament models (zoo names plus 'xfer_bound'; default league)",
+            ),
+            _arg(
+                "--policies", nargs="+", default=None, metavar="POLICY",
+                help="scheduling policies to enter (default: all registered)",
+            ),
+            _MESH,
+            _but(_SEED, help="seed for stochastic policies"),
+            _TINY,
+            _OUTPUT,
+        ),
+    ),
+    "fuzz": (
+        _cmd_fuzz,
+        "differential conformance fuzzing across all execution paths", (
+            _but(_SEED, help="campaign seed (case i depends only on (seed, i))"),
+            _arg("--count", type=int, default=50, help="number of cases"),
+            _arg(
+                "--max-ops", type=int, default=24,
+                help="target operator-count ceiling",
+            ),
+            _arg(
+                "--artifact-dir", default=None, metavar="DIR",
+                help="write minimized JSON repro artifacts for failures here",
+            ),
+            _arg(
+                "--no-minimize", action="store_true",
+                help="skip shrinking failing graphs",
+            ),
+            _arg(
+                "--time-budget", type=float, default=None, metavar="SECONDS",
+                help="stop starting new cases after this much wall time",
+            ),
+            _arg(
+                "--verbose", action="store_true",
+                help="print every case, not just failures",
+            ),
+            _arg(
+                "--backend", choices=("numpy", "native"), default="numpy",
+                help="kernel backend for every compiled oracle arm (native = "
+                "C renderer + .so cache under the ULP comparison policy)",
+            ),
+        ),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DUET reproduction: schedule DNN inference across CPU+GPU",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list models and experiments").set_defaults(
-        fn=_cmd_list
-    )
-
-    p_info = sub.add_parser("info", help="model and partition statistics")
-    p_info.add_argument("model", choices=MODEL_NAMES)
-    p_info.add_argument("--tiny", action="store_true", help="test-scale config")
-    p_info.set_defaults(fn=_cmd_info)
-
-    p_print = sub.add_parser("print", help="dump the Relay-style IR")
-    p_print.add_argument("model", choices=MODEL_NAMES)
-    p_print.add_argument("--tiny", action="store_true")
-    p_print.set_defaults(fn=_cmd_print)
-
-    p_opt = sub.add_parser("optimize", help="run the full DUET pipeline")
-    p_opt.add_argument("model", nargs="?", choices=MODEL_NAMES)
-    p_opt.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="optimize a declarative JSON model spec instead of a zoo model",
-    )
-    p_opt.add_argument("--tiny", action="store_true")
-    p_opt.add_argument("--noisy", action="store_true", help="enable latency noise")
-    p_opt.add_argument(
-        "--runs", type=int, default=0,
-        help="additionally sample a latency distribution of this many runs",
-    )
-    p_opt.add_argument(
-        "--session-runs", type=int, default=0, metavar="N",
-        help="serve N requests through a reusable engine session and "
-        "report the measured per-request wall time",
-    )
-    p_opt.add_argument(
-        "--profile-cache", default=None, metavar="PATH",
-        help="reuse/write the offline profiling artifact at PATH",
-    )
-    p_opt.set_defaults(fn=_cmd_optimize)
-
-    p_bench = sub.add_parser("bench", help="run one paper experiment")
-    p_bench.add_argument("experiment")
-    p_bench.set_defaults(fn=_cmd_bench)
-
-    p_report = sub.add_parser(
-        "report", help="regenerate every experiment table into a directory"
-    )
-    p_report.add_argument("--output", default="results", metavar="DIR")
-    p_report.add_argument(
-        "--runs", type=int, default=2000,
-        help="sample count for the tail-latency experiment",
-    )
-    p_report.set_defaults(fn=_cmd_report)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="drive the multi-tenant serving frontend with closed-loop load",
-    )
-    p_serve.add_argument(
-        "model", nargs="?", choices=MODEL_NAMES,
-        help="zoo model to serve (default: a stack-safe elementwise chain)",
-    )
-    p_serve.add_argument("--tiny", action="store_true", help="test-scale config")
-    p_serve.add_argument(
-        "--requests", type=int, default=200, metavar="N",
-        help="number of requests to serve",
-    )
-    p_serve.add_argument(
-        "--concurrency", type=int, default=8, metavar="K",
-        help="closed-loop client threads",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=8, help="dynamic batch size cap"
-    )
-    p_serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="max time a batch window waits for company",
-    )
-    p_serve.add_argument(
-        "--pool-size", type=int, default=1, help="worker sessions per model"
-    )
-    p_serve.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="bound of the admission queue",
-    )
-    p_serve.add_argument(
-        "--admission", choices=("block", "reject"), default="block",
-        help="backpressure mode when the queue is full",
-    )
-    p_serve.add_argument(
-        "--no-batching", action="store_true",
-        help="serve every request as its own dispatch",
-    )
-    p_serve.add_argument(
-        "--metrics", action="store_true",
-        help="print the Prometheus-style metrics exposition after the run",
-    )
-    p_serve.add_argument(
-        "--mesh", default=None, metavar="FILE",
-        help="serve on an N-device mesh loaded from a topology JSON file "
-        "(see examples/mesh.json) instead of the default CPU+GPU machine",
-    )
-    p_serve.add_argument(
-        "--tenants", default=None, metavar="FILE",
-        help="tenants JSON file (see examples/tenants.json); traffic is "
-        "spread round-robin across the registered tenants and a "
-        "per-tenant scoreboard is printed",
-    )
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_chaos = sub.add_parser(
-        "chaos-serve",
-        help="scripted fault schedule against the serving frontend "
-        "(transients -> stalls -> device loss -> recovery), invariants on",
-    )
-    p_chaos.add_argument(
-        "model", nargs="?", choices=MODEL_NAMES, default="siamese",
-        help="zoo model to serve under chaos (default: siamese)",
-    )
-    p_chaos.add_argument(
-        "--tiny", action="store_true", default=True,
-        help="test-scale model configuration (default: on)",
-    )
-    p_chaos.add_argument(
-        "--full-size", dest="tiny", action="store_false",
-        help="full-size model configuration",
-    )
-    p_chaos.add_argument(
-        "--phase-seconds", type=float, default=1.0, metavar="S",
-        help="duration of each fault phase",
-    )
-    p_chaos.add_argument(
-        "--concurrency", type=int, default=4, metavar="K",
-        help="closed-loop client threads",
-    )
-    p_chaos.add_argument(
-        "--pool-size", type=int, default=2, help="worker sessions per model"
-    )
-    p_chaos.add_argument(
-        "--deadline-ms", type=float, default=2000.0,
-        help="per-request deadline budget",
-    )
-    p_chaos.add_argument(
-        "--lose-device", choices=("cpu", "gpu"), default="gpu",
-        help="device killed during the outage phase",
-    )
-    p_chaos.add_argument(
-        "--recovery-threshold", type=float, default=0.8,
-        help="required post-recovery throughput as a fraction of baseline",
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0, help="corpus and jitter seed"
-    )
-    p_chaos.add_argument(
-        "--metrics", action="store_true",
-        help="also print the final metrics exposition",
-    )
-    p_chaos.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the chaos report to this file",
-    )
-    p_chaos.add_argument(
-        "--no-strict", action="store_true",
-        help="exit 0 even when resilience invariants fail",
-    )
-    p_chaos.set_defaults(fn=_cmd_chaos_serve)
-
-    p_slo = sub.add_parser(
-        "slo-bench",
-        help="mixed-priority SLO benchmark: a paced critical tenant vs a "
-        "best-effort flood, two-sided invariants checked",
-    )
-    p_slo.add_argument(
-        "model", nargs="?", choices=MODEL_NAMES, default="wide_deep",
-        help="zoo model to serve (default: wide_deep, the multi-phase "
-        "model, so preemption points exist)",
-    )
-    p_slo.add_argument(
-        "--tiny", action="store_true", default=True,
-        help="test-scale model configuration (default: on)",
-    )
-    p_slo.add_argument(
-        "--full-size", dest="tiny", action="store_false",
-        help="full-size model configuration",
-    )
-    p_slo.add_argument(
-        "--duration-seconds", type=float, default=2.0, metavar="S",
-        help="length of each leg (isolated baseline, then the mix)",
-    )
-    p_slo.add_argument(
-        "--critical-clients", type=int, default=1, metavar="K",
-        help="paced interactive clients on the critical tenant",
-    )
-    p_slo.add_argument(
-        "--critical-think-ms", type=float, default=50.0,
-        help="critical client idle time between requests",
-    )
-    p_slo.add_argument(
-        "--slo-ms", type=float, default=250.0,
-        help="critical tenant's p99 SLO target",
-    )
-    p_slo.add_argument(
-        "--best-effort-clients", type=int, default=4, metavar="K",
-        help="closed-loop flood threads on the best-effort tenant",
-    )
-    p_slo.add_argument(
-        "--best-effort-threshold", type=float, default=0.7,
-        help="required best-effort throughput as a fraction of its "
-        "isolated baseline",
-    )
-    p_slo.add_argument(
-        "--pool-size", type=int, default=1, help="worker sessions per model"
-    )
-    p_slo.add_argument(
-        "--seed", type=int, default=0, help="input-corpus seed"
-    )
-    p_slo.add_argument(
-        "--metrics", action="store_true",
-        help="also print the final metrics exposition",
-    )
-    p_slo.add_argument(
-        "--json", action="store_true",
-        help="also print the scoreboard as JSON",
-    )
-    p_slo.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="write the per-tenant scoreboard (JSON) to this file",
-    )
-    p_slo.add_argument(
-        "--no-strict", action="store_true",
-        help="exit 0 even when SLO invariants fail",
-    )
-    p_slo.set_defaults(fn=_cmd_slo_bench)
-
-    p_tournament = sub.add_parser(
-        "tournament",
-        help="scheduler league: every policy x model, lazy vs. overlap",
-    )
-    p_tournament.add_argument(
-        "--models", nargs="+", default=None, metavar="NAME",
-        help="tournament models (zoo names plus 'xfer_bound'; default league)",
-    )
-    p_tournament.add_argument(
-        "--policies", nargs="+", default=None, metavar="POLICY",
-        help="scheduling policies to enter (default: all registered)",
-    )
-    p_tournament.add_argument(
-        "--mesh", default=None, metavar="FILE",
-        help="run the league on an N-device mesh loaded from a topology "
-        "JSON file (see examples/mesh.json)",
-    )
-    p_tournament.add_argument(
-        "--seed", type=int, default=0, help="seed for stochastic policies"
-    )
-    p_tournament.add_argument(
-        "--tiny", action="store_true", help="tiny model configurations (CI smoke)"
-    )
-    p_tournament.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="also write the league table to this file",
-    )
-    p_tournament.set_defaults(fn=_cmd_tournament)
-
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="differential conformance fuzzing across all execution paths",
-    )
-    p_fuzz.add_argument(
-        "--seed", type=int, default=0, help="campaign seed (case i depends only on (seed, i))"
-    )
-    p_fuzz.add_argument("--count", type=int, default=50, help="number of cases")
-    p_fuzz.add_argument(
-        "--max-ops", type=int, default=24, help="target operator-count ceiling"
-    )
-    p_fuzz.add_argument(
-        "--artifact-dir", default=None, metavar="DIR",
-        help="write minimized JSON repro artifacts for failures here",
-    )
-    p_fuzz.add_argument(
-        "--no-minimize", action="store_true",
-        help="skip shrinking failing graphs",
-    )
-    p_fuzz.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop starting new cases after this much wall time",
-    )
-    p_fuzz.add_argument(
-        "--verbose", action="store_true", help="print every case, not just failures"
-    )
-    p_fuzz.add_argument(
-        "--backend", choices=("numpy", "native"), default="numpy",
-        help="kernel backend for every compiled oracle arm (native = "
-        "C renderer + .so cache under the ULP comparison policy)",
-    )
-    p_fuzz.set_defaults(fn=_cmd_fuzz)
+    for name, (run, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=run)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 

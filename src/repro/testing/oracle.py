@@ -62,6 +62,7 @@ from repro.core.phases import PhasedPartition
 from repro.core.placement import build_hetero_plan
 from repro.core.profiler import CompilerAwareProfiler, device_target
 from repro.core.scheduler import GreedyCorrectionScheduler
+from repro.core.schedulers import round_robin_placement
 from repro.devices.machine import Machine, default_machine
 from repro.errors import ReproError
 from repro.ir.graph import Graph
@@ -197,17 +198,6 @@ def _compare(name: str, got, ref, ulp_budget: float = 0.0) -> list[str]:
                 f"(max abs diff {delta:.3e})"
             )
     return msgs
-
-
-def alternating_placement(
-    partition: PhasedPartition, devices: tuple[str, ...] = ("cpu", "gpu")
-) -> dict[str, str]:
-    """Device round-robin over subgraphs: guarantees cross-device edges
-    (and, on a mesh, touches every device once enough subgraphs exist)."""
-    return {
-        sg.id: devices[i % len(devices)]
-        for i, sg in enumerate(partition.subgraphs)
-    }
 
 
 def _module_budget(module) -> float:
@@ -368,7 +358,9 @@ def run_differential(
         return report
 
     arms: list[tuple[str, dict[str, str]]] = [("", placement)]
-    alt = alternating_placement(partition, devices)
+    # Device round-robin guarantees cross-device edges (and, on a mesh,
+    # touches every device once enough subgraphs exist).
+    alt = round_robin_placement(partition, devices)
     if cross_device and alt != placement:
         arms.append(("@alt", alt))
 

@@ -1,7 +1,8 @@
 """Chaos-harness tests: schedule/report plumbing plus a small live run.
 
-The pure pieces (:class:`ChaosPhase` validation, :class:`PhaseStats`
-arithmetic, :class:`ChaosReport` invariant checks and rendering) are
+The pure pieces (:class:`ChaosPhase` validation, per-phase
+:class:`Scoreboard` arithmetic, :class:`ChaosReport` invariant checks and
+rendering) are
 covered exactly; the live test runs :func:`run_chaos_serve` on a short
 baseline → outage → recovery schedule and asserts the resilience
 invariants the CI smoke job enforces at larger scale.
@@ -12,16 +13,16 @@ import pytest
 from repro.bench import (
     ChaosPhase,
     ChaosReport,
-    PhaseStats,
+    Scoreboard,
     default_chaos_schedule,
     run_chaos_serve,
 )
-from repro.bench.chaos import OUTCOMES
+from repro.bench.loadgen import OUTCOMES
 from repro.errors import ExecutionError
 
 
 def stats(name, ok=0, error=0, expired=0, duration_s=1.0, latencies=()):
-    s = PhaseStats(name=name, duration_s=duration_s)
+    s = Scoreboard(labels={"phase": name}, duration_s=duration_s)
     s.counts["ok"] = ok
     s.counts["error"] = error
     s.counts["expired"] = expired
@@ -31,7 +32,7 @@ def stats(name, ok=0, error=0, expired=0, duration_s=1.0, latencies=()):
 
 def report(**overrides):
     kwargs = dict(
-        phases=[stats("baseline", ok=10), stats("outage", ok=5),
+        boards=[stats("baseline", ok=10), stats("outage", ok=5),
                 stats("recovery", ok=9)],
         recovery_ratio=0.9,
         hung_futures=0,
@@ -74,14 +75,14 @@ class TestPhaseStats:
         s = stats("p")
         assert s.submitted == 0
         assert s.availability == 0.0
-        assert s.p99_ms() == 0.0
+        assert s.p99_s() == 0.0
 
     def test_p99_in_milliseconds(self):
         s = stats("p", ok=3, latencies=[0.010] * 99 + [0.020])
-        assert s.p99_ms() == pytest.approx(10.1, abs=0.2)
+        assert s.p99_s() * 1e3 == pytest.approx(10.1, abs=0.2)
 
     def test_outcome_universe_matches_counts(self):
-        assert set(PhaseStats(name="p", duration_s=1.0).counts) == set(OUTCOMES)
+        assert set(Scoreboard().counts) == set(OUTCOMES)
 
 
 class TestChaosReport:
@@ -94,7 +95,7 @@ class TestChaosReport:
         assert "terminal state" in report(hung_futures=2).invariant_failures()[0]
         assert "no terminal outcome" in report(unaccounted=1).invariant_failures()[0]
         assert "bit-identical" in report(mismatches=3).invariant_failures()[0]
-        r = report(phases=[stats("baseline", ok=10), stats("outage", error=4)])
+        r = report(boards=[stats("baseline", ok=10), stats("outage", error=4)])
         assert any("outage" in f for f in r.invariant_failures())
         r = report(recovery_ratio=0.5)
         assert any("recovered" in f for f in r.invariant_failures())
@@ -102,9 +103,9 @@ class TestChaosReport:
 
     def test_phase_lookup(self):
         r = report()
-        assert r.phase("outage").counts["ok"] == 5
+        assert r.board("outage").counts["ok"] == 5
         with pytest.raises(ExecutionError, match="no phase"):
-            r.phase("meltdown")
+            r.board("meltdown")
 
     def test_render_carries_scoreboard_and_verdict(self):
         text = report().render()
@@ -138,9 +139,9 @@ class TestRunChaosServe:
         assert r.hung_futures == 0
         assert r.mismatches == 0
         assert r.unaccounted == 0
-        assert r.phase("baseline").counts["ok"] > 0
+        assert r.board("baseline").counts["ok"] > 0
         # The lane kept answering from the survivor during the outage.
-        assert r.phase("outage").counts["ok"] > 0
+        assert r.board("outage").counts["ok"] > 0
         assert r.invariant_failures() == [], r.invariant_failures()
         # The metrics exposition rode along and saw the quarantine.
         assert "duet_slot_quarantines_total" in r.metrics_text

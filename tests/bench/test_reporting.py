@@ -19,6 +19,16 @@ class TestFormatTable:
         lines = format_table(rows).splitlines()
         assert len({len(l) for l in lines[2:]}) == 1  # data lines equal width
 
+    def test_columns_pick_and_order(self):
+        rows = [{"a": 1, "b": 2, "note": "x"}, {"a": 3, "b": 4, "note": "y"}]
+        lines = format_table(rows, columns=("b", "a")).splitlines()
+        assert lines[0].split() == ["b", "a"]  # picked, in the order asked
+        assert [l.split() for l in lines[2:]] == [["2", "1"], ["4", "3"]]
+        assert "note" not in lines[0] and "x" not in lines[2]  # extras ignored
+
+    def test_none_renders_as_dash(self):
+        assert format_table([{"slo_ms": None}]).splitlines()[-1].strip() == "-"
+
 
 class TestFormatBars:
     def test_bar_lengths_proportional(self):

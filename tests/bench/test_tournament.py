@@ -7,7 +7,6 @@ import pytest
 from repro.bench import (
     TOURNAMENT_MODELS,
     build_tournament_model,
-    league_table,
     run_tournament,
     tournament_winner,
 )
@@ -95,11 +94,6 @@ class TestWinner:
 
 
 class TestReporting:
-    def test_league_table_renders(self, league):
-        table = league_table(league)
-        assert "overlap_gain_pct" in table
-        assert "xfer_bound" in table
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(SchedulingError, match="unknown"):
             run_tournament(models=("siamese",), policies=("alphazero",))

@@ -146,11 +146,11 @@ class TestAdaptiveShedder:
 
 def _mixed_setup():
     """A both-device optimization, seeded inputs, and solo reference."""
-    from repro.bench.chaos import _mixed_serving_opt
+    from repro.bench.chaos import mixed_serving_opt
 
     graph = build_model("siamese", tiny=True)
     engine = DuetEngine(machine=default_machine(noisy=False))
-    opt = _mixed_serving_opt(engine, graph)
+    opt = mixed_serving_opt(engine, graph)
     assert {task.device for task in opt.plan.tasks} == {"cpu", "gpu"}
     feeds = make_inputs(graph, seed=0)
     want = [

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, build_parser, main
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestCLI:
@@ -97,6 +102,74 @@ class TestCLI:
             assert phase in written
 
 
+    def test_serve_smoke(self, capsys):
+        assert main(["serve", "--requests", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "20 requests, 8 clients" in out and "(ok 20)" in out
+        assert "latency p50" in out and "batches executed" in out
+
+    def test_serve_names_each_outcome_of_refused_requests(self, capsys):
+        # A full queue under --admission reject is an answer, not a
+        # failure: the refusals are counted by name and the run exits 0.
+        assert main([
+            "serve", "--requests", "20", "--concurrency", "4",
+            "--admission", "reject", "--queue-capacity", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "20 requests, 4 clients" in out
+        assert "rejected" in out and "errors" not in out
+
+    def test_serve_tenants_prints_per_tenant_rows(self, capsys):
+        assert main([
+            "serve", "wide_deep", "--tiny", "--requests", "30",
+            "--tenants", str(REPO / "examples" / "tenants.json"),
+        ]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("per-tenant scoreboard"):]
+        for tenant in ("search", "ads", "batch_etl"):
+            assert tenant in table
+        assert "preempted" in table and "misses" in table
+
+    def test_slo_bench_smoke(self, capsys, tmp_path):
+        artifact = tmp_path / "slo.json"
+        code = main([
+            "slo-bench", "--duration-seconds", "0.5",
+            "--best-effort-threshold", "0", "--output", str(artifact),
+        ])
+        # A half-second leg may legitimately see no preemption.
+        assert code in (0, 1)
+        assert "slo-mix tenant scoreboard" in capsys.readouterr().out
+        doc = json.loads(artifact.read_text(encoding="utf-8"))
+        assert {row["tenant"] for row in doc["tenants"]} == {
+            "critical", "best_effort",
+        }
+        assert doc["ok"] == (code == 0)
+        assert bool(doc["failures"]) == (code == 1)
+
+
+class TestCommandTable:
+    def test_every_command_builds_and_parses_its_defaults(self):
+        parser = build_parser()
+        required = {"info": ["vgg"], "print": ["vgg"], "bench": ["fig13"]}
+        assert len(_COMMANDS) == 11
+        for name, (run, _help, _arguments) in _COMMANDS.items():
+            args = parser.parse_args([name, *required.get(name, [])])
+            assert args.fn is run
+
+    def test_removed_benchmark_flags_are_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos-serve", "--lose-device", "gpu"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["slo-bench", "--slo-ms", "100"])
+        capsys.readouterr()
+
+    def test_docs_list_every_command(self):
+        listing = "{" + ",".join(_COMMANDS) + "}"
+        for doc in ("README.md", "DESIGN.md"):
+            assert listing in (REPO / doc).read_text(encoding="utf-8"), doc
+
+
 class TestCLIProfileCache:
     def test_optimize_with_cache(self, capsys, tmp_path):
         path = tmp_path / "cache.json"
@@ -114,15 +187,24 @@ class TestCLIProfileCache:
 class TestCLIReport:
     def test_report_writes_all_tables(self, capsys, tmp_path, monkeypatch):
         # Shrink the heavy experiments so the report finishes quickly.
-        import repro.cli as cli
+        from repro.bench import experiments
+
+        seen_runs = []
+
+        def sampled(n_runs=5000):
+            seen_runs.append(n_runs)
+            return [{"n_runs": n_runs}]
 
         slim = {
-            "fig13": cli._EXPERIMENTS["fig13"],
-            "table3": cli._EXPERIMENTS["table3"],
+            name: experiments.EXPERIMENTS[name]
+            for name in ("table1", "fig13", "table3")
         }
-        monkeypatch.setattr(cli, "_EXPERIMENTS", slim)
+        slim["tail"] = sampled
+        monkeypatch.setattr(experiments, "EXPERIMENTS", slim)
         out = tmp_path / "results"
         assert main(["report", "--output", str(out), "--runs", "100"]) == 0
+        # --runs reaches the experiment whose table entry takes n_runs.
+        assert seen_runs == [100] and (out / "tail.txt").exists()
         assert (out / "table1.txt").exists()
         assert (out / "fig13.txt").exists()
         assert (out / "table3.txt").exists()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.schedulers import round_robin_placement
 from repro.devices import default_machine, make_mesh
 from repro.models import build_model
 from repro.testing.generators import case_rng, generate_graph
-from repro.testing.oracle import alternating_placement, run_differential
+from repro.testing.oracle import run_differential
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ class TestMeshArm:
 
         graph = build_model("mtdnn", tiny=True)
         partition = partition_graph(graph)
-        alt = alternating_placement(partition, mesh3.device_names)
+        alt = round_robin_placement(partition, mesh3.device_names)
         assert set(alt) == {sg.id for sg in partition.subgraphs}
         if len(alt) >= 3:
             assert set(alt.values()) == {"cpu", "gpu0", "gpu1"}
@@ -146,7 +147,7 @@ class TestAlternatingPlacement:
 
         graph = build_model("wide_deep", tiny=True)
         partition = partition_graph(graph)
-        alt = alternating_placement(partition)
+        alt = round_robin_placement(partition)
         assert set(alt) == {sg.id for sg in partition.subgraphs}
         if len(alt) > 1:
             assert set(alt.values()) == {"cpu", "gpu"}
