@@ -4,10 +4,14 @@ Acceptance criteria for the native backend, asserted rather than merely
 reported:
 
 * native beats NumPy on a CNN (vgg) and an FFN (mtdnn) zoo model;
-* every zoo kernel dispatches native (full renderer coverage);
+* the renderer accepts every zoo kernel (full renderer coverage; which
+  of them then run C is the contest's business);
 * observed drift stays within the two-class ULP policy budget;
-* re-running the scoreboard against the same cache compiles nothing
-  (warm cache really is warm);
+* re-running the scoreboard against the same cache compiles nothing and
+  contests nothing (warm cache really is warm);
+* at Table I scale, where rendered C loses most heavy kernels to BLAS,
+  the selected module is not slower than NumPy: a kernel is C only where
+  C measured faster;
 * the differential oracle stays green with ``backend="native"`` on the
   same models the scoreboard times.
 """
@@ -54,12 +58,12 @@ def test_native_scoreboard(benchmark, cache):
     assert by_model["mtdnn"]["speedup"] > 1.0, by_model["mtdnn"]
 
     for row in rows:
-        covered, total = row["kernels"].split("/")
-        assert covered == total, f"{row['model']}: fell back to NumPy kernels"
+        assert row["rejected"] == 0, f"{row['model']}: renderer rejected kernels"
         assert row["max_ulp"] <= row["ulp_budget"], row
 
     cold = cache.stats.snapshot()
     assert cold["compiles"] > 0
+    assert cold["fallbacks"] == 0, cold
 
     # Warm pass: identical signatures, so the cache must serve every
     # kernel from the memo/disk without a single new compile or re-tune.
@@ -67,7 +71,31 @@ def test_native_scoreboard(benchmark, cache):
     warm = cache.stats.snapshot()
     assert warm["compiles"] == cold["compiles"], (cold, warm)
     assert warm["autotunes"] == cold["autotunes"], (cold, warm)
+    assert warm["contests"] == cold["contests"], (cold, warm)
     emit(format_table([warm], title="Cache stats after warm re-run"))
+
+
+def test_selected_native_not_slower_at_paper_scale(benchmark, cache):
+    """The "or not selected" guarantee, at the scale tier-1 cannot
+    afford: pure rendered C is several times slower than NumPy on these
+    models, the contested module must not be."""
+    rows = benchmark.pedantic(
+        native_scoreboard,
+        kwargs={
+            "models": ("wide_deep", "mtdnn"),
+            "tiny": False,
+            "native": NativeOptions(cache=cache),
+            "repeats": 5,
+        },
+        rounds=1,
+        iterations=1,
+    )
+    emit(format_table(rows, title="Native backend vs NumPy (Table I scale)"))
+    for row in rows:
+        assert row["rejected"] == 0, row
+        assert row["numpy_won"] > 0, row
+        assert row["speedup"] >= 0.9, row
+        assert row["max_ulp"] <= row["ulp_budget"], row
 
 
 @pytest.mark.parametrize("model", ["vgg", "mtdnn"])

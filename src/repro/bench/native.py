@@ -1,9 +1,10 @@
 """Native-vs-NumPy kernel scoreboard over the model zoo.
 
 One row per model: best-of-N wall time for the NumPy closure module and
-the native (C + ctypes) module on identical feeds, kernel coverage
-(how many of the module's kernels actually dispatched native), and the
-observed ULP drift against the two-class policy budget.  The CI
+the native-backend module (rendered C where it measured faster, the
+closure elsewhere) on identical feeds, how its kernels resolved (native
+/ NumPy by contest / never reached a contest), and the observed ULP
+drift against the two-class policy budget.  The CI
 ``native-smoke`` job and ``benchmarks/bench_native_kernels.py`` both
 render these rows and assert on them; keeping the measurement here means
 the CLI, the bench suite, and CI can never disagree about methodology.
@@ -92,11 +93,15 @@ def native_scoreboard(
         t_np, t_nat = _best_of_interleaved(
             [lambda: mod_np.run(feeds), lambda: mod_nat.run(feeds)], repeats
         )
-        n_native = sum(1 for k in mod_nat.kernels if k.backend == "native")
+        n_native = sum(k.backend == "native" for k in mod_nat.kernels)
+        n_lost = sum(k.reason == "numpy: lost contest" for k in mod_nat.kernels)
         rows.append(
             {
                 "model": name,
-                "kernels": f"{n_native}/{len(mod_nat.kernels)}",
+                "native": n_native,
+                "numpy_won": n_lost,
+                # Renderer rejected the group, or its build failed.
+                "rejected": len(mod_nat.kernels) - n_native - n_lost,
                 "numpy_ms": t_np * 1e3,
                 "native_ms": t_nat * 1e3,
                 "speedup": t_np / t_nat if t_nat > 0 else float("inf"),

@@ -6,6 +6,7 @@ Examples::
     python -m repro info wide_deep
     python -m repro print siamese --tiny
     python -m repro optimize wide_deep --runs 2000
+    python -m repro optimize wide_deep --backend native
     python -m repro bench fig13
     python -m repro fuzz --seed 0 --count 50
 """
@@ -16,6 +17,7 @@ import argparse
 import inspect
 import json
 import sys
+from collections import Counter
 from typing import Callable, Sequence
 
 from repro.bench import experiments, format_table
@@ -92,7 +94,7 @@ def _cmd_print(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     machine = default_machine(noisy=args.noisy)
-    engine = DuetEngine(machine=machine)
+    engine = DuetEngine(machine=machine, backend=args.backend)
     if args.spec:
         from pathlib import Path
 
@@ -132,6 +134,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             for dev, m in sorted(mem.per_device.items())
         )
     )
+    if args.backend == "native":
+        reasons = Counter(
+            k.reason for task in opt.plan.tasks for k in task.module.kernels
+        )
+        print(
+            "kernel backends:  "
+            + ", ".join(f"{n} {reason}" for reason, n in sorted(reasons.items()))
+        )
     if args.runs > 0:
         stats = engine.latency_stats(opt, n_runs=args.runs)
         print(
@@ -211,7 +221,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    engine = DuetEngine(machine=_machine_from_args(args))
+    engine = DuetEngine(machine=_machine_from_args(args), backend=args.backend)
     config = ServingConfig(
         queue_capacity=args.queue_capacity,
         admission=args.admission,
@@ -383,7 +393,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             status = "ok" if diff.ok else "FAIL"
             print(f"  case {case.index:4d} ({ops:3d} ops): {status}")
 
-    backend = getattr(args, "backend", "numpy")
+    backend = args.backend
     if backend == "native":
         from repro.compiler.native import native_available
 
@@ -445,6 +455,11 @@ _OUTPUT = _arg(
     "--output", default=None, metavar="FILE",
     help="also write the report to FILE (as JSON when it ends in .json)",
 )
+_BACKEND = _arg(
+    "--backend", choices=("numpy", "native"), default="numpy",
+    help="kernel backend: NumPy closures, or native = each fused kernel in "
+    "rendered C (compiled into the .so cache) where that measures faster",
+)
 
 #: name -> (handler, help, arguments): the whole command-line surface.
 _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
@@ -472,6 +487,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
             "--profile-cache", default=None, metavar="PATH",
             help="reuse/write the offline profiling artifact at PATH",
         ),
+        _BACKEND,
     )),
     "bench": (_cmd_bench, "run one paper experiment", (_arg("experiment"),)),
     "report": (
@@ -519,6 +535,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
             ),
             _METRICS,
             _MESH,
+            _BACKEND,
             _arg(
                 "--tenants", default=None, metavar="FILE",
                 help="tenants JSON file (see examples/tenants.json); traffic is "
@@ -603,10 +620,11 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
                 "--verbose", action="store_true",
                 help="print every case, not just failures",
             ),
-            _arg(
-                "--backend", choices=("numpy", "native"), default="numpy",
+            _but(
+                _BACKEND,
                 help="kernel backend for every compiled oracle arm (native = "
-                "C renderer + .so cache under the ULP comparison policy)",
+                "rendered C for every group the renderer accepts, under the "
+                "ULP comparison policy)",
             ),
         ),
     ),

@@ -68,9 +68,14 @@ class CompiledKernel:
             call contract.
         cost: cost metadata for the device models.
         target_name: device this kernel was generated for.
-        backend: kernel backend actually in use: ``"numpy"``, or
-            ``"native"`` when the C renderer accepted the group (native
-            modules may mix per-kernel when the renderer rejects some).
+        backend: kernel backend actually in use: ``"numpy"`` or
+            ``"native"`` (a native-target module mixes them per kernel).
+        reason: why this kernel has that backend: ``"numpy"`` on a NumPy
+            target; on a native target ``"native"`` (rendered C measured
+            faster), ``"native: pinned"`` (the caller chose the
+            variant), ``"numpy: lost contest"``, ``"numpy: renderer
+            rejected"``, ``"numpy: build failed"`` or ``"numpy: no
+            compiler"``.
         exact: True when this kernel is bit-identical to the NumPy
             reference (always True for numpy; per the renderer's
             order-preserving analysis for native).
@@ -86,6 +91,7 @@ class CompiledKernel:
     cost: KernelCost
     target_name: str = "cpu"
     backend: str = "numpy"
+    reason: str = "numpy"
     exact: bool = True
     run_into: Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray] | None = None
 

@@ -8,7 +8,7 @@ materialized lazily and cached on the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -56,19 +56,8 @@ def _group_cost(graph: Graph, group: FusionGroup) -> KernelCost:
     )
 
 
-def build_kernel(
-    graph: Graph,
-    group: FusionGroup,
-    target: Target,
-    native: "object | None" = None,
-) -> CompiledKernel:
-    """Generate the executable kernel for one fusion group.
-
-    With a native-backend target, the fusion group is rendered to C and
-    compiled through the signature-keyed cache; any group the renderer
-    rejects (or a missing system compiler) keeps the NumPy closure for
-    that kernel only — the module transparently mixes backends.
-    """
+def _numpy_kernel(graph: Graph, group: FusionGroup, target: Target) -> CompiledKernel:
+    """The NumPy-closure kernel of one fusion group."""
     members = set(group.node_ids)
     external: list[str] = []
     seen: set[str] = set()
@@ -94,19 +83,6 @@ def build_kernel(
             env[nid] = compute([env[i] for i in inputs], attrs)
         return env[output_id]
 
-    backend = "numpy"
-    exact = True
-    run_into = None
-    if target.is_native:
-        from repro.compiler.native import build_native_kernel
-
-        native_kernel = build_native_kernel(graph, group, external, native)
-        if native_kernel is not None:
-            fn = native_kernel
-            run_into = native_kernel.run_into
-            backend = "native"
-            exact = native_kernel.exact
-
     ops = "_".join(graph.node(n).op for n in group.node_ids[:3])
     prefix = "fused_" if len(group.node_ids) > 1 else ""
     return CompiledKernel(
@@ -117,10 +93,55 @@ def build_kernel(
         fn=fn,
         cost=_group_cost(graph, group),
         target_name=target.name,
-        backend=backend,
-        exact=exact,
-        run_into=run_into,
     )
+
+
+def _select_native(
+    graph: Graph,
+    groups: Sequence[FusionGroup],
+    kernels: Sequence[CompiledKernel],
+    native: "object | None",
+) -> list[CompiledKernel]:
+    """Swap in rendered C for every kernel the native layer resolves to
+    it; the rest keep their closures, with the reason recorded."""
+    from repro.compiler.native import build_native_kernels
+
+    picks = build_native_kernels(
+        graph, [(g, k.input_ids, k.fn) for g, k in zip(groups, kernels)], native
+    )
+    return [
+        replace(kernel, reason=reason)
+        if chosen is None
+        else replace(
+            kernel,
+            fn=chosen,
+            run_into=chosen.run_into,
+            backend="native",
+            exact=chosen.exact,
+            reason=reason,
+        )
+        for kernel, (chosen, reason) in zip(kernels, picks)
+    ]
+
+
+def build_kernel(
+    graph: Graph,
+    group: FusionGroup,
+    target: Target,
+    native: "object | None" = None,
+) -> CompiledKernel:
+    """Generate the executable kernel for one fusion group.
+
+    With a native-backend target the group is also rendered to C and,
+    unless ``native`` pins the variant, timed against the NumPy closure;
+    the kernel runs whichever measured faster.  A group the renderer
+    rejects (or a missing system compiler) keeps the closure for that
+    kernel only — the module transparently mixes backends.
+    """
+    kernel = _numpy_kernel(graph, group, target)
+    if target.is_native:
+        (kernel,) = _select_native(graph, [group], [kernel], native)
+    return kernel
 
 
 @dataclass
@@ -206,7 +227,11 @@ def lower(
     # by the topological index of their *output* node is.
     topo_index = {nid: i for i, nid in enumerate(graph.topo_order())}
     groups.sort(key=lambda g: topo_index[g.output_id])
-    kernels = [build_kernel(graph, g, target, native=native) for g in groups]
+    kernels = [_numpy_kernel(graph, g, target) for g in groups]
+    if target.is_native:
+        # The whole module at once: its missing objects compile in one
+        # concurrent batch before any kernel is timed.
+        kernels = _select_native(graph, groups, kernels, native)
     return CompiledModule(
         graph=graph,
         target=target,

@@ -1,18 +1,29 @@
 """Signature-keyed on-disk cache of compiled native kernels.
 
 Every rendered kernel gets a stable signature — a SHA-256 over the
-renderer version, the GEMM tile variant, and a *locally renamed*
-description of the fusion group (op sequence, sorted attrs, input/output
-shapes and dtypes).  Local renaming means two structurally identical
-groups from differently-named graphs share one cache entry, and the
-signature deliberately excludes the target name so a "cpu" and a "gpu"
-placement of the same kernel dedupe to one shared object.
+renderer version, the toolchain fingerprint, the GEMM tile variant, and
+a *locally renamed* description of the fusion group (op sequence, sorted
+attrs, input/output shapes and dtypes).  Local renaming means two
+structurally identical groups from differently-named graphs share one
+cache entry, and the signature deliberately excludes the target name so
+a "cpu" and a "gpu" placement of the same kernel dedupe to one shared
+object.  The fingerprint says where an entry was built and timed:
+objects are compiled with ``-march=native`` and backend decisions are
+wall-clock measurements, so a cache directory carried to another host or
+toolchain resolves to fresh signatures instead of trusting either.
 
 Layout under the cache root::
 
     <sig>.c          rendered source (kept for debugging / goldens)
     <sig>.so         compiled shared object (atomically renamed in)
-    <base>.meta.json autotune choice + timings for a tunable kernel
+    <base>.meta.json the contest's decision for one kernel:
+                     {"backend": "native" | "numpy", "tile": [mr, nr],
+                      "timings_s": {"4x4": s, ..., "numpy": s}, "rounds": n}
+
+One signature resolves one way per cache directory: the decision is
+looked up in the in-process memo, then the meta file, and only then
+contested (``NativeCache.lock`` is held across a module's whole
+resolution, so two threads never contest the same signature).
 
 Corrupted or truncated ``.so`` entries are evicted and rebuilt on load
 failure rather than crashing; writes go through a temp file + ``rename``
@@ -25,12 +36,14 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from repro.compiler.fusion import FusionGroup
 from repro.compiler.native.renderer import RENDERER_VERSION
+from repro.compiler.native.runtime import toolchain_fingerprint
 from repro.ir.graph import Graph
 
 __all__ = [
@@ -59,7 +72,7 @@ def kernel_signature(
     local: dict[str, str] = {nid: f"e{k}" for k, nid in enumerate(external)}
     for k, nid in enumerate(group.node_ids):
         local[nid] = f"n{k}"
-    parts = [f"rv{renderer_version}"]
+    parts = [f"rv{renderer_version}", toolchain_fingerprint()]
     for k, nid in enumerate(external):
         ty = graph.node(nid).ty
         parts.append(f"e{k}={ty.dtype.name}[{','.join(map(str, ty.shape))}]")
@@ -92,16 +105,11 @@ class CacheStats:
     evictions: int = 0
     fallbacks: int = 0
     autotunes: int = 0
+    contests: int = 0
+    numpy_wins: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "compiles": self.compiles,
-            "disk_hits": self.disk_hits,
-            "memo_hits": self.memo_hits,
-            "evictions": self.evictions,
-            "fallbacks": self.fallbacks,
-            "autotunes": self.autotunes,
-        }
+        return asdict(self)
 
 
 def default_cache_dir() -> Path:
@@ -125,6 +133,10 @@ class NativeCache:
     def __post_init__(self) -> None:
         self.root = Path(self.root)
         self._loaded: dict[str, object] = {}
+        self._decisions: dict[str, tuple[str, tuple[int, int]]] = {}
+        #: Held across one module's whole resolution (lookups, compile
+        #: batch, contests) by :func:`build_native_kernels`.
+        self.lock = threading.RLock()
 
     # -- paths ---------------------------------------------------------
     def source_path(self, sig: str) -> Path:
@@ -180,7 +192,49 @@ class NativeCache:
             except FileNotFoundError:
                 pass
 
-    # -- autotune metadata ---------------------------------------------
+    # -- contest decisions ---------------------------------------------
+    def decision(self, base_sig: str) -> tuple[str, tuple[int, int]] | None:
+        """The settled ``(backend, tile)`` for a kernel: in-process memo,
+        then the meta file; None when it has not been contested here."""
+        hit = self._decisions.get(base_sig)
+        if hit is None:
+            meta = self.read_meta(base_sig)
+            try:
+                backend = meta["backend"]
+                mr, nr = meta["tile"]
+                hit = (backend, (int(mr), int(nr)))
+            except (KeyError, TypeError, ValueError):
+                return None
+            if backend not in ("native", "numpy"):
+                return None
+            self._decisions[base_sig] = hit
+        return hit
+
+    def decide(
+        self,
+        base_sig: str,
+        backend: str,
+        tile: tuple[int, int],
+        timings_s: dict[str, float],
+        rounds: int,
+    ) -> None:
+        """Settle a contest's outcome: memo, and the meta file so later
+        processes resolve the same way (an unwritable cache directory
+        costs them a contest of their own, not this one its result)."""
+        self._decisions[base_sig] = (backend, tuple(tile))
+        try:
+            self.write_meta(
+                base_sig,
+                {
+                    "backend": backend,
+                    "tile": list(tile),
+                    "timings_s": timings_s,
+                    "rounds": rounds,
+                },
+            )
+        except OSError:
+            pass
+
     def read_meta(self, base_sig: str) -> dict | None:
         path = self.meta_path(base_sig)
         try:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -43,6 +44,7 @@ __all__ = [
     "compile_source",
     "find_compiler",
     "native_available",
+    "toolchain_fingerprint",
 ]
 
 #: Flags appended to every compile; the contract part (`-ffp-contract=off`,
@@ -64,9 +66,18 @@ CC_FLAGS = (
 ENV_CC = "REPRO_CC"
 ENV_DISABLE = "REPRO_NATIVE_DISABLE"
 
+#: Wall-clock bound on one compiler process; a compiler that hangs is a
+#: failed build, not a hung engine.
+COMPILE_TIMEOUT_S = 120.0
+
+#: Environment variables that pin the BLAS thread count the NumPy side
+#: of a contest is timed with.
+_BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class NativeBuildError(Exception):
-    """The system compiler rejected a rendered kernel."""
+    """The system compiler could not produce an object for a rendered
+    kernel: it rejected the source, could not be started, or hung."""
 
 
 _addressof = ctypes.addressof
@@ -112,34 +123,91 @@ def native_available() -> bool:
     return find_compiler() is not None
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+@lru_cache(maxsize=None)
+def _fingerprint(cc: str | None) -> str:
+    version = ""
+    if cc is not None:
+        try:
+            proc = subprocess.run(
+                [cc, "--version"], capture_output=True, text=True, timeout=10
+            )
+            version = (proc.stdout or proc.stderr).split("\n", 1)[0].strip()
+        except (OSError, subprocess.SubprocessError):
+            pass
+    pins = ",".join(f"{name}={os.environ.get(name, '')}" for name in _BLAS_PINS)
+    return "|".join(
+        (
+            f"cc={cc}",
+            version,
+            " ".join(CC_FLAGS),
+            platform.machine(),
+            _cpu_model(),
+            f"cpus={os.cpu_count()}",
+            f"numpy={np.__version__}",
+            pins,
+        )
+    )
+
+
+def toolchain_fingerprint() -> str:
+    """Where cache entries are built and timed: compiler and flags, CPU,
+    NumPy version and BLAS thread pins.  Objects are compiled with
+    ``-march=native`` and backend decisions are wall-clock measurements,
+    so neither survives a move to another toolchain or host; the cache
+    mixes this into every signature.  Computed once per compiler path."""
+    return _fingerprint(find_compiler())
+
+
 def compile_source(source: str, out_dir: Path) -> Path:
     """Compile ``source`` into a temporary .so inside ``out_dir`` and
-    return its path (caller atomically renames it into the cache)."""
+    return its path (caller atomically renames it into the cache).
+
+    Every way the build can fail (no compiler, the compiler rejects the
+    source, cannot be started, or outlives :data:`COMPILE_TIMEOUT_S`, or
+    the cache directory cannot be written) raises
+    :class:`NativeBuildError` and leaves no temporary file behind.
+    """
     cc = find_compiler()
     if cc is None:
         raise NativeBuildError("no C compiler available")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fd, c_path = tempfile.mkstemp(dir=str(out_dir), suffix=".c")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(source)
-    so_path = c_path[:-2] + ".so"
-    cmd = [cc, *CC_FLAGS, "-o", so_path, c_path, "-lm"]
+    c_path = so_path = None
+    built = False
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    finally:
-        try:
-            os.unlink(c_path)
-        except FileNotFoundError:
-            pass
-    if proc.returncode != 0:
-        try:
-            os.unlink(so_path)
-        except FileNotFoundError:
-            pass
-        raise NativeBuildError(
-            f"{cc} failed ({proc.returncode}):\n{proc.stderr[-2000:]}"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fd, c_path = tempfile.mkstemp(dir=str(out_dir), suffix=".c")
+        so_path = c_path[:-2] + ".so"
+        with os.fdopen(fd, "w") as fh:
+            fh.write(source)
+        cmd = [cc, *CC_FLAGS, "-o", so_path, c_path, "-lm"]
+        proc = subprocess.run(
+            cmd, capture_output=True, text=True, timeout=COMPILE_TIMEOUT_S
         )
-    return Path(so_path)
+        if proc.returncode != 0:
+            raise NativeBuildError(
+                f"{cc} failed ({proc.returncode}):\n{proc.stderr[-2000:]}"
+            )
+        built = True
+        return Path(so_path)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise NativeBuildError(f"{cc} did not build the kernel: {exc}") from exc
+    finally:
+        for path in (c_path, None if built else so_path):
+            if path is not None:
+                try:
+                    os.unlink(path)
+                except FileNotFoundError:
+                    pass
 
 
 @dataclass

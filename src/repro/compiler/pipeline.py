@@ -46,7 +46,7 @@ def compile_graph(
         fuse: disable to get one kernel per operator (framework-like
             execution without fusion).
         native: optional :class:`repro.compiler.native.NativeOptions`
-            (cache/autotune knobs) for native-backend targets.
+            (cache/autotune/pinned-tile knobs) for native-backend targets.
     """
     pm = PassManager(default_passes(opt_level))
     optimized = pm.run(graph)
@@ -63,10 +63,12 @@ class Compiler:
     compiler-awareness ablation to produce the kind of unoptimized timing
     a framework profiler would report (§IV-B).
 
-    ``backend="native"`` lowers fused kernels through the C renderer and
-    the signature-keyed .so cache; kernels the renderer rejects keep
-    their NumPy closures, and the whole path degrades to NumPy when no
-    system compiler exists.  ``native`` carries the cache/autotune knobs
+    ``backend="native"`` also renders fused kernels to C through the
+    signature-keyed .so cache and runs each where it measured faster
+    than its NumPy closure; kernels that lost or that the renderer
+    rejects keep their closures, and the whole path degrades to NumPy
+    when no system compiler exists.  ``native`` carries the
+    cache/autotune/pinned-tile knobs
     (:class:`repro.compiler.native.NativeOptions`).
     """
 

@@ -5,12 +5,13 @@ A target names the device a module is generated for plus the kernel
 
 * ``backend="numpy"`` (default) lowers every kernel to the NumPy
   reference closures; numerics are identical across devices.
-* ``backend="native"`` lowers each fused kernel through the C renderer
-  (:mod:`repro.compiler.native`) when possible, falling back to the
-  NumPy closure per-kernel for anything the renderer rejects or when no
-  system compiler exists.  Order-preserving kernels stay bit-identical
-  to NumPy; reassociated GEMM/reduction kernels differ within the
-  documented ULP policy (:mod:`repro.compiler.native.policy`).
+* ``backend="native"`` also renders each fused kernel to C
+  (:mod:`repro.compiler.native`) and runs it there where that measured
+  faster than the NumPy closure in a timed per-kernel contest; a kernel
+  that lost, one the renderer rejects, and every kernel when no system
+  compiler exists keep the closure.  Order-preserving kernels stay
+  bit-identical to NumPy; reassociated GEMM/reduction kernels differ
+  within the documented ULP policy (:mod:`repro.compiler.native.policy`).
 
 What differs between cpu/gpu is the cost metadata the backend attaches —
 on GPU every kernel is a device-kernel launch, while the CPU backend

@@ -113,8 +113,9 @@ class DuetEngine:
     overlap: bool = False
     # Kernel backend shorthand: DuetEngine(backend="native") lowers every
     # module (plan subgraphs, single-device fallbacks, serving sessions)
-    # through the C renderer + .so cache, falling back per-kernel to the
-    # NumPy closures.  None keeps whatever the supplied compiler says.
+    # through the C renderer + .so cache, each kernel in rendered C where
+    # that measured faster than its NumPy closure.  None keeps whatever
+    # the supplied compiler says.
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -179,6 +180,12 @@ class DuetEngine:
         from repro.core.profile_store import load_profiles, save_profiles
 
         partition = partition_graph(graph)
+        # Whole-model modules first: they are needed whatever the schedule
+        # turns out to be, and on a native backend their lowering sees
+        # every fusion group of the model at once, so the cold compiles
+        # run as one concurrent batch and the profiler's per-subgraph
+        # compiles below find their objects in the cache.
+        single_modules = self._single_device_modules(graph)
         profiles = None
         if profile_path is not None:
             import os
@@ -217,7 +224,6 @@ class DuetEngine:
         if self._should_validate():
             self._debug_validate(graph, partition, schedule)
 
-        single_modules = self._single_device_modules(graph)
         # Priced under the same transfer discipline as the hetero schedule
         # so the fallback comparison is apples-to-apples.
         single_latency = {

@@ -34,8 +34,13 @@ the scheduler's own placement and under a forced alternating placement
 that guarantees cross-device edges, so the transfer paths are always
 covered even when the scheduler would keep a small graph on one device.
 
-Two additional arms run the graph through the **native C backend**
-(``native`` directly, ``native:threaded`` under real worker threads).
+Three additional arms run the graph through the **native C backend**.
+``native`` (direct module run) and ``native:threaded`` (the same module
+under real worker threads) compile with the default tile *pinned*, so
+every group the renderer accepts runs rendered C whether or not it
+would win its contest; that keeps each renderer under test where it
+loses.  ``native:selected`` compiles the way an engine does, contest on,
+so a module mixing C and NumPy kernels is checked on every run.
 Their comparison follows the two-class policy of
 :mod:`repro.compiler.native.policy`: when every compiled kernel is
 order-preserving the comparison stays bit-exact; when any kernel
@@ -44,9 +49,9 @@ must agree within the graph's summed per-op ULP budget.  When no system
 C compiler exists the arms are *skipped with a visible marker* (the
 outcome's ``skipped`` flag, surfaced in the report summary) rather than
 silently passing.  ``run_differential(backend="native")`` additionally
-swaps the native compiler into every arm — single-device, simulator,
-threaded, serving core — so the whole scheduling pipeline is exercised
-over ctypes-dispatched kernels.
+swaps the pinned native compiler into every arm — single-device,
+simulator, threaded, serving core — so the whole scheduling pipeline is
+exercised over ctypes-dispatched kernels.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ EXECUTOR_NAMES = (
     "single:gpu",
     "native",
     "native:threaded",
+    "native:selected",
     "simulator",
     "simulator:overlap",
     "threaded",
@@ -113,6 +119,9 @@ class ExecutorOutcome:
     #: C compiler).  Skips are surfaced in the report summary, never
     #: silently counted as agreement.
     skipped: bool = False
+    #: The compiled module a direct-run native arm executed, so a test
+    #: can see which backend each of its kernels ended up on.
+    module: object | None = None
 
 
 @dataclass
@@ -264,7 +273,15 @@ def run_differential(
         report.outcomes[name] = outcome
         return outcome
 
-    compiler = Compiler(backend=backend)
+    # Every native arm but ``native:selected`` pins the tile: rendered C
+    # wherever the renderer accepts the group, no contest.
+    from repro.compiler.native import NativeOptions, native_available
+    from repro.compiler.native.renderer import DEFAULT_TILE
+
+    native_compiler = Compiler(
+        backend="native", native=NativeOptions(tile=DEFAULT_TILE)
+    )
+    compiler = native_compiler if backend == "native" else Compiler()
     if single_device:
         for dev in machine.devices:
 
@@ -284,18 +301,14 @@ def run_differential(
     # same module under real worker threads (ctypes drops the GIL inside
     # kernels, so this exercises genuinely concurrent native dispatch).
     # Visibly skipped — never silently green — without a C compiler.
-    from repro.compiler.native import native_available
-
-    native_compiler = (
-        compiler if backend == "native" else Compiler(backend="native")
-    )
     host_dev = machine.devices[0]
 
-    def run_native(outcome):
+    def run_native(outcome, compiler=native_compiler):
         if not native_available():
             outcome.skipped = True
             return
-        module = native_compiler.compile(graph, device_target(host_dev))
+        module = compiler.compile(graph, device_target(host_dev))
+        outcome.module = module
         outputs = module.run(feeds)
         outcome.outputs = outputs
         report.divergences += _compare(
@@ -329,6 +342,10 @@ def run_differential(
 
     attempt("native", run_native)
     attempt("native:threaded", run_native_threaded)
+    attempt(
+        "native:selected",
+        lambda outcome: run_native(outcome, Compiler(backend="native")),
+    )
 
     # Partition, profile, schedule — the real pipeline under test.
     try:

@@ -5,7 +5,10 @@ The first native fuzz sweep (``python -m repro fuzz --backend native
 to enshrine; instead these pins replay a spread of seed-0 cases with
 ``backend="native"`` so the whole oracle cross-check — C renderer,
 signature cache, ctypes dispatch, two-class ULP policy — stays green on
-generated graphs, not just the curated zoo.  Case 26 is included
+generated graphs, not just the curated zoo.  The oracle pins the tile
+for ``backend="native"``, so every group the renderer accepts runs
+rendered C here whether or not it would win its contest (its
+``native:selected`` arm covers the contested module).  Case 26 is included
 deliberately: it exposed the output-renaming compiler bug
 (see ``test_fuzzer_finds.py``), so it exercises declared-output plumbing
 through the native path too.

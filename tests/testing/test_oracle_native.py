@@ -1,10 +1,14 @@
 """Oracle native arms: skip markers, ULP policy, and backend plumbing.
 
-The differential oracle grew two native arms (``native`` — direct module
-run on ctypes kernels — and ``native:threaded`` — the same kernels
-dispatched by the threaded executor).  These tests pin the arm contract:
+The differential oracle has three native arms: ``native`` (direct module
+run on ctypes kernels), ``native:threaded`` (the same kernels dispatched
+by the threaded executor), both with the tile pinned so every accepted
+group runs rendered C, and ``native:selected`` (the contested module an
+engine would build).  These tests pin the arm contract:
 
-* both arms run and agree when a C compiler is present;
+* all arms run and agree when a C compiler is present;
+* the pinned arms run rendered C for every group the renderer accepts,
+  whatever a contest would have picked;
 * without a compiler they *skip visibly* (``skipped`` outcome flag and a
   ``[SKIPPED: ...]`` marker in the summary) instead of silently passing;
 * exact-class kernels are compared bit-identically, inexact-class
@@ -39,6 +43,7 @@ class TestNativeArms:
     def test_native_arms_registered(self):
         assert "native" in EXECUTOR_NAMES
         assert "native:threaded" in EXECUTOR_NAMES
+        assert "native:selected" in EXECUTOR_NAMES
 
     @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_zoo_model_native_arms_agree(self, machine):
@@ -49,6 +54,19 @@ class TestNativeArms:
         assert native.outputs is not None
         threaded = report.outcomes["native:threaded"]
         assert threaded.error is None and not threaded.skipped
+        selected = report.outcomes["native:selected"]
+        assert selected.error is None and not selected.skipped
+        # The pinned arms keep every renderer under test where it would
+        # lose its contest; the selected arm is free to mix.
+        accepted = [
+            k
+            for k in native.module.kernels
+            if k.reason != "numpy: renderer rejected"
+        ]
+        assert accepted and all(k.backend == "native" for k in accepted)
+        assert {k.reason for k in selected.module.kernels} <= {
+            "native", "numpy: lost contest", "numpy: renderer rejected"
+        }
 
     def test_arms_skip_visibly_without_compiler(self, machine, monkeypatch):
         monkeypatch.setenv(ENV_DISABLE, "1")
@@ -58,7 +76,9 @@ class TestNativeArms:
                 build_model("wide_deep", tiny=True), machine=machine
             )
             assert report.ok, report.summary()
-            assert set(report.skipped_arms) == {"native", "native:threaded"}
+            assert set(report.skipped_arms) == {
+                "native", "native:threaded", "native:selected"
+            }
             assert "[SKIPPED: native, native:threaded" in report.summary()
         finally:
             monkeypatch.delenv(ENV_DISABLE)
