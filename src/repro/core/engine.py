@@ -327,7 +327,8 @@ class DuetEngine:
         A thin constructor for
         :class:`~repro.serving.frontend.ServingFrontend`: each graph is
         optimized exactly once, then served from a pool of reusable
-        sessions behind a bounded admission queue with dynamic batching.
+        sessions behind a bounded admission queue, with dynamic batching
+        for stack-safe plans.
         A single graph/optimization is served under the model name
         ``"default"``.
 

@@ -27,8 +27,13 @@ empirically; the verdict even varies with the operand *values*, so no
 calibration scheme can certify it).  :func:`analyze_stack_safety`
 therefore whitelists plans conservatively: anything containing
 dense/matmul/recurrent kernels, axis-0 slicing, or batch-shaped
-constants is marked unstackable and the frontend executes those batches
-request by request — still coalesced for queueing purposes, still exact.
+constants is marked unstackable.  The verdict also decides whether a
+window is collected at all: the frontend opens one only on a worker
+that holds a stacked kernel, because a window's linger buys nothing
+where requests would run one by one anyway.  Requests for an
+unstackable plan are dispatched singly as they are dequeued, and a
+stacked run that raises re-runs its requests one by one; both stay
+exact.
 """
 
 from __future__ import annotations
@@ -196,7 +201,8 @@ def analyze_stack_safety(plan: HeteroPlan) -> StackDecision:
     """Decide statically whether ``plan`` supports stacked batch execution.
 
     Conservative by construction — the only cost of a ``False`` verdict
-    is that batches run request-by-request.  A plan is stackable when:
+    is that requests run one by one, each as soon as it is dequeued.  A
+    plan is stackable when:
 
     * every external input and every op node carries the plan's batch
       size on axis 0 (so concatenation and splitting are well-defined);

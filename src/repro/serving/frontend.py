@@ -3,8 +3,11 @@
 :class:`ServingFrontend` is the front door the ROADMAP's serving story
 needs: it owns one *lane* per model — a bounded admission queue plus a
 pool of worker threads, each holding its own
-:class:`~repro.runtime.session.EngineSession` — and coalesces compatible
-waiting requests into dynamic batches (see :mod:`repro.serving.batcher`).
+:class:`~repro.runtime.session.EngineSession` — and, where a worker's
+plan is stack-safe, coalesces compatible waiting requests into dynamic
+batches (see :mod:`repro.serving.batcher`).  A worker whose plan cannot
+stack opens no batching window: it dispatches each request the moment
+it dequeues it.
 
 Admission control is explicit backpressure: a full queue either rejects
 immediately with :class:`~repro.errors.QueueFullError`
@@ -19,10 +22,11 @@ request to a solo :class:`~repro.runtime.session.EngineSession` run:
   inputs concatenated along the batch axis and is split back per request
   (the actual throughput lever: one NumPy kernel invocation per op for
   the whole batch);
-* ``fallback`` — the batch was coalesced but the plan is not stack-safe
-  (or a stacked attempt failed), so requests execute back to back on the
-  worker's session;
-* ``single`` — the batch holds one request.
+* ``fallback`` — the stacked attempt raised, so the batch's requests
+  re-run back to back on the worker's session (the only way several
+  requests reach the per-request path);
+* ``single`` — the batch holds one request (every request of a worker
+  whose plan is not stack-safe, or with batching off).
 
 On top of admission and batching sits a resilience layer composing the
 existing fault machinery into the frontend:
@@ -147,12 +151,19 @@ class ServingConfig:
         submit_timeout_s: blocking-admission patience; ``None`` blocks
             indefinitely.  Expiry raises ``QueueFullError`` too.
         pool_size: worker threads (each with its own session) per model.
-            Keep this at 1 when batching: concurrent workers steal each
-            other's window fill and linger to no benefit (measured —
-            multi-worker lingering *loses* throughput on small models).
-        batching: coalesce compatible queued requests into batches.
-        max_batch_size: hard cap on requests per batch.
-        max_linger_s: longest a window's first request waits for company.
+            Keep this at 1 when batching a stack-safe model: concurrent
+            workers steal each other's window fill and linger to no
+            benefit (measured — multi-worker lingering *loses* throughput
+            on small models).  Other models open no window, so the
+            advice does not apply to them.
+        batching: coalesce compatible queued requests into one stacked
+            dispatch.  Acts only where the worker's plan passed
+            :func:`~repro.serving.batcher.analyze_stack_safety`; a worker
+            whose plan did not runs each request as it dequeues it.
+        max_batch_size: hard cap on requests per batch (stack-safe
+            plans only).
+        max_linger_s: longest a window's first request waits for company
+            (stack-safe plans only; a critical-tier head never waits).
         retry_policy: optional
             :class:`~repro.runtime.resilient.RetryPolicy` installing the
             retry middleware around every task attempt.
@@ -510,7 +521,11 @@ class _ModelLane:
         )
         self.batches_total = registry.counter(
             "duet_batches_total",
-            help="Executed batches by model and mode (stacked/fallback/single).",
+            help=(
+                "Executed batches by model and mode (stacked/fallback/"
+                "single; fallback = a stacked run raised and its "
+                "requests re-ran one by one)."
+            ),
         )
         self.shed_total = registry.counter(
             "duet_shed_total",
@@ -863,7 +878,10 @@ class _ModelLane:
             if self._expired(head):
                 self._expire(head)
                 continue
-            if self.config.batching:
+            if slot.stacked_kernel is not None:
+                # A window's linger buys something only where the batch
+                # executes as one stacked dispatch; every other slot
+                # dispatches each request the moment it is dequeued.
                 batch, carry = collect_batch(
                     head,
                     self._timed_get,
@@ -911,14 +929,20 @@ class _ModelLane:
             self.inflight.dec(len(batch), model=self.name)
 
     def _run_batch(self, slot: _WorkerSlot, batch: list[ServeFuture]) -> None:
-        """Execute ``batch`` (stacked when safe, else request by request)
-        and settle each request with its own outcome."""
+        """Execute ``batch`` and settle each request with its own outcome.
+
+        A batch of several requests exists only on a slot with a stacked
+        kernel (the only place :meth:`_worker` opens a window) and runs
+        as one stacked dispatch; a singleton runs on the slot's session.
+        The per-request loop over several members (``mode="fallback"``)
+        is reached only when that stacked run raised.
+        """
         began = self.clock()
         mode = "single" if len(batch) == 1 else "fallback"
         outputs: list[list[np.ndarray] | None] = [None] * len(batch)
         errors: list[BaseException | None] = [None] * len(batch)
         stacked = False
-        if len(batch) > 1 and slot.stacked_kernel is not None:
+        if len(batch) > 1:
             try:
                 outputs = self._run_stacked_checked(slot, batch)
                 stacked, mode = True, "stacked"
@@ -931,9 +955,9 @@ class _ModelLane:
         if not stacked:
             for i, req in enumerate(batch):
                 if i and req.tenant.tier > 0:
-                    # Between batch members is a natural preemption
-                    # point too: serve any higher-priority arrivals
-                    # before the next same-tier request.
+                    # Between the members of a failed stacked batch is
+                    # a natural preemption point too: serve any
+                    # higher-priority arrivals before the next re-run.
                     self._serve_preempting(slot, req.tenant.tier)
                 try:
                     outputs[i] = self._run_request(slot, req)

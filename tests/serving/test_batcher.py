@@ -9,10 +9,16 @@ Three layers, matching the batcher's separable concerns:
 * end-to-end property runs through the real threaded frontend: for
   random (max_batch, linger, arrival-order) configurations, batched
   outputs are bit-identical to unbatched/solo outputs and the batch-size
-  histogram accounts for every request exactly once.
+  histogram accounts for every request exactly once;
+* where a window opens at all: only on a slot holding a stacked kernel,
+  so an unstackable lane dispatches each request as it is dequeued, and
+  the per-request re-run of a batch happens only after a stacked run
+  raised.
 """
 
 import queue
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from repro.bench import elementwise_chain
 from repro.core import DuetEngine
 from repro.errors import ExecutionError
 from repro.ir import GraphBuilder, make_inputs
+from repro.models import build_model
 from repro.runtime.core import DispatchKernel, InlineWorkers
+from repro.runtime.faults import FaultInjector, FaultPlan, KernelFault
 from repro.runtime.session import EngineSession
 from repro.serving import (
     BatchConfig,
@@ -210,7 +218,7 @@ class TestFrontendBatchingProperties:
         rng = np.random.default_rng(trial)
         engine = DuetEngine()
         # Alternate between a stack-safe model (stacked execution) and a
-        # mixed-family one (per-request fallback inside batches).
+        # mixed-family one (per-request dispatch when it cannot stack).
         if trial % 2 == 0:
             config = GeneratorConfig(
                 max_ops=8, families=dict(STACK_SAFE_FAMILIES)
@@ -238,6 +246,7 @@ class TestFrontendBatchingProperties:
             pool_size=1,
         )
         with engine.serve(opt, config=serving) as frontend:
+            stackable = frontend.lane_info()["stackable"]
             futures = [
                 (i, frontend.submit(cases[i][0])) for i in order
             ]
@@ -246,8 +255,134 @@ class TestFrontendBatchingProperties:
                 for got, want in zip(result.outputs, cases[i][1]):
                     np.testing.assert_array_equal(got, want)
                 assert 1 <= result.batch_size <= serving.max_batch_size
+                if not stackable:
+                    assert result.batch_size == 1
             sizes = frontend.registry.histogram("duet_batch_size").merged()
             # Every request rode in exactly one batch.
             assert sizes.sum == n_requests
             batches = frontend.registry.counter("duet_batches_total")
             assert batches.total() == sizes.count
+
+
+class TestWindowOnlyOnStackedSlots:
+    """A batching window opens only where the slot can stack it."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        engine = DuetEngine()
+        zoo = engine.optimize(build_model("wide_deep", tiny=True))
+        chain = engine.optimize(elementwise_chain(batch=2, width=8, depth=2))
+        return engine, zoo, chain
+
+    @staticmethod
+    def _assert_same(got_outputs, want_outputs):
+        assert len(got_outputs) == len(want_outputs)
+        for got, want in zip(got_outputs, want_outputs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_lone_unstackable_request_never_waits(self, models):
+        engine, zoo, chain = models
+        feeds = make_inputs(zoo.graph, seed=0)
+        want = EngineSession(zoo.plan).run(feeds).outputs
+        with engine.serve(zoo, config=ServingConfig(max_linger_s=5.0)) as frontend:
+            assert not frontend.lane_info()["stackable"]
+            # A 5 s window would outlast the caller's 1 s patience.
+            result = frontend.request(feeds, timeout_s=1.0)
+        assert result.batch_size == 1 and not result.stacked
+        self._assert_same(result.outputs, want)
+
+        # The same config on a stack-safe lane still lingers.
+        linger = 0.05
+        feeds = make_inputs(chain.graph, seed=0)
+        config = ServingConfig(max_linger_s=linger)
+        with engine.serve(chain, config=config) as frontend:
+            assert frontend.lane_info()["stackable"]
+            began = time.perf_counter()
+            result = frontend.request(feeds, timeout_s=30.0)
+            elapsed = time.perf_counter() - began
+        assert result.batch_size == 1
+        assert elapsed >= linger
+
+    def test_prequeued_unstackable_burst_is_singleton_dispatches(self, models):
+        engine, zoo, chain = models
+        n = 6
+        cases = {
+            name: [make_inputs(opt.graph, seed=k) for k in range(n)]
+            for name, opt in (("zoo", zoo), ("chain", chain))
+        }
+        want = {
+            name: [EngineSession(opt.plan).run(f).outputs for f in cases[name]]
+            for name, opt in (("zoo", zoo), ("chain", chain))
+        }
+        frontend = engine.serve(
+            {"zoo": zoo, "chain": chain},
+            config=ServingConfig(max_batch_size=4, max_linger_s=0.0),
+            clock=lambda: 0.0,
+            autostart=False,
+        )
+        futures = {
+            name: [frontend.submit(f, model=name) for f in cases[name]]
+            for name in cases
+        }
+        frontend.start()
+        results = {
+            name: [fut.result(30.0) for fut in futs]
+            for name, futs in futures.items()
+        }
+        frontend.close()
+        for name in cases:
+            for result, outputs in zip(results[name], want[name]):
+                self._assert_same(result.outputs, outputs)
+
+        batches = frontend.registry.counter("duet_batches_total")
+        assert batches.value(model="zoo", mode="single") == n
+        assert batches.value(model="zoo", mode="fallback") == 0
+        assert all(r.batch_size == 1 for r in results["zoo"])
+        # The stack-safe lane still drains its backlog as 4 + 2.
+        assert batches.value(model="chain", mode="stacked") == 2
+        assert batches.value(model="chain", mode="single") == 0
+        assert sorted(r.batch_size for r in results["chain"]) == [2] * 2 + [4] * 4
+
+    def test_failed_stacked_run_reruns_each_request(self, models):
+        engine, _, chain = models
+        first_task = chain.plan.tasks[0].task_id
+        injector = FaultInjector(
+            FaultPlan(kernel_faults=(KernelFault(first_task, fail_attempts=1),))
+        )
+        cases = [make_inputs(chain.graph, seed=k) for k in range(4)]
+        solo = EngineSession(chain.plan)
+        want = [solo.run(f).outputs for f in cases]
+        frontend = engine.serve(
+            chain,
+            config=ServingConfig(max_batch_size=4, max_linger_s=0.0),
+            clock=lambda: 0.0,
+            fault_injectors={"default": injector},
+            autostart=False,
+        )
+        lane = frontend._lanes["default"]
+        settled = []
+        settle = lane._settle
+
+        def counting_settle(who, *args, **kwargs):
+            settled.append(who)
+            settle(who, *args, **kwargs)
+
+        lane._settle = counting_settle
+        futures = [frontend.submit(f) for f in cases]
+        frontend.start()
+        results = [fut.result(30.0) for fut in futures]
+        frontend.close()
+
+        # One stacked attempt raised; each request then ran on its own.
+        assert injector.task_attempts(first_task) == 1 + len(cases)
+        for result, outputs in zip(results, want):
+            assert result.batch_size == len(cases) and not result.stacked
+            self._assert_same(result.outputs, outputs)
+        batches = frontend.registry.counter("duet_batches_total")
+        assert batches.value(model="default", mode="fallback") == 1
+        assert batches.total() == 1
+        requests = frontend.registry.counter("duet_requests_total")
+        assert requests.value(model="default", outcome="ok") == len(cases)
+        assert requests.total() == len(cases)
+        # Every future reached exactly one terminal state.
+        assert Counter(map(id, settled)) == Counter(map(id, futures))

@@ -6,8 +6,9 @@ solo :class:`~repro.runtime.session.EngineSession` run of the same
 (model, input) pair — the serving layer's core contract.  Four arms:
 
 * batching off — pure admission/pooling concurrency;
-* forced batching — long linger windows so requests genuinely coalesce
-  (asserted via the batch counters), stacked execution included;
+* forced batching — long linger windows so requests to the stack-safe
+  lanes genuinely coalesce (asserted via the batch counters) and execute
+  stacked, while the other lanes dispatch each request on dequeue;
 * fault injection — transient kernel faults and corrupted transfers
   under a retry middleware stack, still bit-identical;
 * critical tier — the forced-batching arm submitted as a tier-0 tenant,
@@ -48,8 +49,8 @@ def fleet():
     for m in range(N_MODELS):
         # Half the fleet restricted to stack-safe families (these lanes
         # exercise stacked execution under forced batching), half drawing
-        # from every family (dense/recurrent/slice lanes exercise the
-        # coalesced per-request fallback).
+        # from every family (dense/recurrent/slice lanes exercise
+        # per-request dispatch).
         if m % 2 == 0:
             config = GeneratorConfig(
                 max_ops=10,
