@@ -13,7 +13,7 @@ from repro.bench import format_table
 from repro.core import DuetEngine
 from repro.models import build_model
 from repro.runtime import simulate_stream
-from repro.runtime.single import single_device_plan
+from repro.runtime.plan import single_device_plan
 
 N_REQUESTS = 100
 

@@ -19,8 +19,8 @@ from repro.devices.machine import Machine, default_machine
 from repro.errors import ExecutionError
 from repro.ir.graph import Graph
 from repro.runtime.measurement import LatencyStats, measure_latency_batch
-from repro.runtime.simulator import ExecutionResult, simulate_batch
-from repro.runtime.single import run_single_device, single_device_plan
+from repro.runtime.plan import single_device_plan
+from repro.runtime.simulator import ExecutionResult, simulate, simulate_batch
 
 __all__ = ["TVMLikeBaseline"]
 
@@ -51,8 +51,9 @@ class TVMLikeBaseline:
         rng: np.random.Generator | None = None,
         inputs=None,
     ) -> ExecutionResult:
-        return run_single_device(
-            module, self.device, self.machine, rng=rng, inputs=inputs
+        return simulate(
+            single_device_plan(module, self.device), self.machine, rng=rng,
+            inputs=inputs,
         )
 
     def latency(self, graph: Graph) -> float:

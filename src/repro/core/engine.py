@@ -25,7 +25,7 @@ from repro.ir.graph import Graph
 from repro.errors import ProfilingError
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.measurement import LatencyStats, measure_latency_batch
-from repro.runtime.plan import HeteroPlan
+from repro.runtime.plan import HeteroPlan, single_device_plan
 from repro.runtime.resilient import (
     ExecutionReport,
     ResilienceConfig,
@@ -33,7 +33,6 @@ from repro.runtime.resilient import (
 )
 from repro.runtime.session import EngineSession
 from repro.runtime.simulator import ExecutionResult, simulate, simulate_batch
-from repro.runtime.single import run_single_device, single_device_plan
 
 __all__ = ["DuetOptimization", "DuetEngine"]
 
@@ -224,19 +223,6 @@ class DuetEngine:
         if self._should_validate():
             self._debug_validate(graph, partition, schedule)
 
-        # Priced under the same transfer discipline as the hetero schedule
-        # so the fallback comparison is apples-to-apples.
-        single_latency = {
-            dev: run_single_device(
-                mod, dev, self.machine, overlap=self.overlap
-            ).latency
-            for dev, mod in single_modules.items()
-        }
-        best_dev = min(single_latency, key=lambda d: single_latency[d])
-        best_single = single_latency[best_dev]
-
-        # Fallback (§VI-E): co-execution must actually win, otherwise run
-        # on the fastest single device.
         # The whole-model modules double as standing degradation plans:
         # if a device is permanently lost at runtime, the survivor's plan
         # can serve the request (and all follow-ups) alone.
@@ -244,7 +230,17 @@ class DuetEngine:
             dev: single_device_plan(mod, dev)
             for dev, mod in single_modules.items()
         }
+        # Priced under the same transfer discipline as the hetero schedule
+        # so the fallback comparison is apples-to-apples.
+        single_latency = {
+            dev: simulate(plan, self.machine, overlap=self.overlap).latency
+            for dev, plan in degradation_plans.items()
+        }
+        best_dev = min(single_latency, key=lambda d: single_latency[d])
+        best_single = single_latency[best_dev]
 
+        # Fallback (§VI-E): co-execution must actually win, otherwise run
+        # on the fastest single device.
         if schedule.latency < best_single * (1.0 - self.fallback_margin):
             plan = schedule.plan
             fallback = None

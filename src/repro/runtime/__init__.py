@@ -15,8 +15,6 @@ from repro.runtime.core import (
     ThreadedWorkers,
     TracingMiddleware,
     TransferGuardMiddleware,
-    execute_kernels,
-    resolve_feeds,
 )
 from repro.runtime.faults import (
     DeviceLoss,
@@ -43,8 +41,8 @@ from repro.runtime.memory import (
     TensorArena,
     memory_report,
 )
-from repro.runtime.plan import HeteroPlan, Source, TaskSpec
-from repro.runtime.session import EngineSession, SessionResult
+from repro.runtime.plan import HeteroPlan, Source, TaskSpec, single_device_plan
+from repro.runtime.session import EngineSession
 from repro.runtime.simulator import (
     ExecutionResult,
     KernelRecord,
@@ -55,12 +53,7 @@ from repro.runtime.simulator import (
     simulate_batch,
     simulate_stream,
 )
-from repro.runtime.single import (
-    SingleDeviceResult,
-    run_single_device,
-    single_device_plan,
-)
-from repro.runtime.threaded import ThreadedExecutor, ThreadedResult
+from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = [
     "AbortPolicy",
@@ -83,8 +76,6 @@ __all__ = [
     "ResilientExecutor",
     "RetryMiddleware",
     "RetryPolicy",
-    "SessionResult",
-    "SingleDeviceResult",
     "StallFault",
     "TaskDeadlineMiddleware",
     "ThreadedWorkers",
@@ -92,7 +83,6 @@ __all__ = [
     "TransferFault",
     "TransferGuardMiddleware",
     "ThreadedExecutor",
-    "ThreadedResult",
     "HeteroPlan",
     "KernelRecord",
     "LatencyStats",
@@ -100,15 +90,12 @@ __all__ = [
     "TaskRecord",
     "TaskSpec",
     "TransferRecord",
-    "execute_kernels",
     "measure_latency",
     "measure_latency_batch",
     "memory_report",
-    "resolve_feeds",
     "DeviceMemory",
     "MemoryReport",
     "TensorArena",
-    "run_single_device",
     "simulate",
     "simulate_batch",
     "single_device_plan",

@@ -13,8 +13,8 @@ public execution path be a thin parameterization of it:
   thread per device (``duet-worker-<device>``) with synchronization
   queues, exactly the paper's busy-loop workers; :class:`InlineWorkers`
   executes tasks sequentially on the calling thread in plan (priority)
-  order — the strategy behind single-device runs, the simulator's
-  numeric replay, and :class:`~repro.runtime.session.EngineSession`.
+  order — the strategy behind the simulator's numeric outputs and
+  :class:`~repro.runtime.session.EngineSession`.
 * **Policy middleware** — small objects wrapping one task *attempt*
   (``middleware(ctx, call_next)``), composed outermost-first:
   :class:`RetryMiddleware` (backoff + seeded jitter),
@@ -30,12 +30,14 @@ public execution path be a thin parameterization of it:
   device-loss handling (migrate queued work to the survivor, or signal a
   restart on a standing degradation plan).
 
-The public executors (:class:`~repro.runtime.threaded.ThreadedExecutor`,
-:class:`~repro.runtime.resilient.ResilientExecutor`,
-:func:`~repro.runtime.single.run_single_device`, and the numeric replay
-half of :func:`~repro.runtime.simulator.simulate`) are shims over this
-module; their observable behaviour — outputs, placements, event logs,
-error messages — is unchanged.
+Every wall-clock run returns one record, :class:`CoreResult`.  The entry
+points that remain each add one thing to :class:`DispatchKernel`:
+:class:`~repro.runtime.threaded.ThreadedExecutor` (threaded workers,
+abort on failure), :class:`~repro.runtime.resilient.ResilientExecutor`
+(retry + failover, restart on a degradation plan, the recovery log),
+:class:`~repro.runtime.session.EngineSession` (an arena, caller-owned
+outputs) and :func:`~repro.runtime.simulator.simulate` (a virtual clock
+beside the inline outputs).
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ __all__ = [
     "TaskContext",
     "DispatchState",
     "CoreResult",
-    "resolve_feeds",
-    "execute_kernels",
     "build_attempt_stack",
     "InlineWorkers",
     "ThreadedWorkers",
@@ -165,9 +165,6 @@ class DispatchState:
         self.task_order: list[str] = []
         self.errors: list[BaseException] = []
         self.lost: set[str] = set()
-        # task id -> (device, feeds, crossed ids) staged by the transfer
-        # worker of an overlap-enabled dispatch, consumed by attempt 1.
-        self.prefetched: dict[str, tuple[str, dict, set]] = {}
         template = template or _DependencyTemplate(plan)
         self.remaining_deps = dict(template.remaining_deps)
         self.dependents = template.dependents
@@ -196,12 +193,19 @@ class _DependencyTemplate:
 
 @dataclass
 class CoreResult:
-    """Outcome of one dispatch through the unified core."""
+    """Outcome of one wall-clock run, the record every executor returns
+    (:class:`~repro.runtime.resilient.ExecutionReport` extends it).
+
+    ``wall_time_s`` of an inline run counts active execution segments
+    only; ``preemptions`` is how many times the run was suspended at a
+    phase boundary before it finished.
+    """
 
     outputs: list[np.ndarray]
     wall_time_s: float
     task_worker: dict[str, str]  # task id -> device worker that ran it
     task_order: list[str]  # completion order
+    preemptions: int = 0
 
 
 @dataclass
@@ -238,7 +242,7 @@ class PhaseCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Transfer resolution and kernel execution (shared by every path)
+# Transfer resolution and kernel execution (the dispatch kernel's stages)
 
 
 def resolve_feeds(
@@ -654,8 +658,8 @@ class RetryMiddleware:
 @dataclass(frozen=True)
 class InlineWorkers:
     """Sequential worker strategy: tasks run on the calling thread in plan
-    (priority) order.  No threads, no queues — the strategy behind
-    single-device execution, the simulator's numeric replay, and
+    (priority) order.  No threads, no queues — the strategy behind the
+    simulator's numeric outputs and
     :class:`~repro.runtime.session.EngineSession`."""
 
 
@@ -943,15 +947,6 @@ class DispatchKernel:
             strategy only), enforced by the orchestrator.
         validate_transfers: install the non-finite transfer guard after
             feed resolution.
-        overlap: double-buffer cross-device transfers (threaded strategy
-            only): ready tasks with cross-device inputs detour through a
-            dedicated transfer worker (``duet-worker-transfer``) that
-            resolves their feeds while the device workers keep computing,
-            so the copy of task *k+1*'s inputs overlaps task *k*'s
-            kernels.  Feeds are resolved from exactly the same committed
-            values either way, so outputs are bit-identical; with a fault
-            injector the prefetch is bypassed (transfers must be observed
-            by the attempt that consumes them, at attempt time).
     """
 
     def __init__(
@@ -965,7 +960,6 @@ class DispatchKernel:
         arena: "TensorArena | None" = None,
         deadline_s: float | None = None,
         validate_transfers: bool = False,
-        overlap: bool = False,
     ):
         self.plan = plan
         self.workers = workers or ThreadedWorkers()
@@ -975,7 +969,6 @@ class DispatchKernel:
         self.arena = arena
         self.deadline_s = deadline_s
         self.validate_transfers = validate_transfers
-        self.overlap = overlap
         self.devices = plan_worker_devices(plan)
         self.template = _DependencyTemplate(plan)
 
@@ -1010,12 +1003,16 @@ class DispatchKernel:
         copies), and feed resolution consumes those copies verbatim —
         interleaved requests through the same kernel/arena cannot
         perturb it.  ``CoreResult.wall_time_s`` of an inline run counts
-        active execution segments only, never suspended time.
+        active execution segments only, never suspended time, and
+        ``CoreResult.preemptions`` counts the suspensions.
 
-        Raises :class:`~repro.errors.ExecutionError` when a predicate or
-        checkpoint is given to a threaded worker strategy (preemption
-        points are defined by the sequential plan order).
+        Raises :class:`~repro.errors.ExecutionError` when neither inputs
+        nor a checkpoint are given, and when a predicate or checkpoint is
+        given to a threaded worker strategy (preemption points are
+        defined by the sequential plan order).
         """
+        if inputs is None and checkpoint is None:
+            raise ExecutionError("run needs inputs when starting fresh")
         if not isinstance(self.workers, InlineWorkers):
             if should_preempt is not None or checkpoint is not None:
                 raise ExecutionError(
@@ -1026,8 +1023,6 @@ class DispatchKernel:
             state = DispatchState(self.plan, self.template)
             return self._run_threaded(state, inputs, t0)
         if checkpoint is None:
-            if inputs is None:
-                raise ExecutionError("run needs inputs when starting fresh")
             state = DispatchState(self.plan, self.template)
             start, elapsed, preemptions = 0, 0.0, 0
         else:
@@ -1072,7 +1067,9 @@ class DispatchKernel:
                     f"{exc.attempts} attempt(s): {exc.cause}"
                 ) from exc.cause
             self._commit(state, ctx)
-        return self._collect(state, elapsed + (time.perf_counter() - began))
+        return self._collect(
+            state, elapsed + (time.perf_counter() - began), preemptions
+        )
 
     # ------------------------------------------------------------------
 
@@ -1083,25 +1080,15 @@ class DispatchKernel:
         def resolve_stage(ctx: TaskContext, call_next) -> None:
             ctx.crossed = set()
             with state.lock:
-                staged = state.prefetched.pop(ctx.task.task_id, None)
-                if (
-                    staged is not None
-                    and ctx.attempt == 1
-                    and staged[0] == ctx.device
-                ):
-                    # The transfer worker already resolved these feeds from
-                    # the same committed values; retries re-resolve.
-                    _, ctx.feeds, ctx.crossed = staged
-                else:
-                    ctx.feeds = resolve_feeds(
-                        ctx.task,
-                        ctx.device,
-                        inputs,
-                        state.values,
-                        state.task_worker,
-                        injector,
-                        ctx.crossed,
-                    )
+                ctx.feeds = resolve_feeds(
+                    ctx.task,
+                    ctx.device,
+                    inputs,
+                    state.values,
+                    state.task_worker,
+                    injector,
+                    ctx.crossed,
+                )
             call_next(ctx)
 
         def kernel_stage(ctx: TaskContext) -> None:
@@ -1137,27 +1124,19 @@ class DispatchKernel:
                     ready.append((dep, dest))
         return ready
 
-    def _collect(self, state: DispatchState, wall_time_s: float) -> CoreResult:
+    def _collect(
+        self, state: DispatchState, wall_time_s: float, preemptions: int = 0
+    ) -> CoreResult:
         outputs = [state.values[(tid, idx)] for tid, idx in self.plan.outputs]
         return CoreResult(
             outputs=outputs,
             wall_time_s=wall_time_s,
             task_worker=dict(state.task_worker),
             task_order=list(state.task_order),
+            preemptions=preemptions,
         )
 
     # ------------------------------------------------------------------
-
-    def _crosses_devices(self, state: DispatchState, task: TaskSpec, dest: str) -> bool:
-        """Does ``task`` consume any tensor produced off ``dest``?"""
-        with state.lock:
-            for src in task.sources.values():
-                if src.kind == "external":
-                    if dest != "cpu":  # model inputs are host-resident
-                        return True
-                elif state.task_worker.get(src.ref, dest) != dest:
-                    return True
-        return False
 
     def _run_threaded(self, state, inputs, t0) -> CoreResult:
         attempt = self._attempt_stack(state, inputs)
@@ -1166,47 +1145,11 @@ class DispatchKernel:
             dev: queue.Queue() for dev in self.devices
         }
         notify: "queue.Queue[_Message]" = queue.Queue()
-        # Double-buffered transfer stage: ready tasks with cross-device
-        # inputs detour through this queue so their feeds are staged while
-        # the device workers keep computing.  With a fault injector the
-        # stage is bypassed — injected transfer faults must hit the
-        # consuming attempt itself, not an early prefetch.
-        xfer_queue: "queue.Queue[tuple[TaskSpec, str] | None] | None" = (
-            queue.Queue()
-            if self.overlap and self.fault_injector is None
-            else None
-        )
 
         def clock() -> float:
             return time.perf_counter() - t0
 
         control = _Controller(self, state, queues, clock)
-
-        def route(task: TaskSpec, dest: str) -> None:
-            if xfer_queue is not None and self._crosses_devices(state, task, dest):
-                xfer_queue.put((task, dest))
-            else:
-                queues[dest].put(task)
-
-        def xfer_worker() -> None:
-            while True:
-                item = xfer_queue.get()
-                if item is None:
-                    return
-                task, dest = item
-                try:
-                    crossed: set[str] = set()
-                    with state.lock:
-                        feeds = resolve_feeds(
-                            task, dest, inputs, state.values,
-                            state.task_worker, None, crossed,
-                        )
-                        state.prefetched[task.task_id] = (dest, feeds, crossed)
-                except BaseException:
-                    # Stage nothing; the compute attempt re-resolves and
-                    # surfaces the failure through the normal path.
-                    pass
-                queues[dest].put(task)
 
         def process(task: TaskSpec, device: str) -> None:
             ctx = TaskContext(task=task, device=device)
@@ -1230,7 +1173,7 @@ class DispatchKernel:
                 notify.put(_Message("fail", task, exc))
                 return
             for dep, dest in self._commit(state, ctx):
-                route(dep, dest)
+                queues[dest].put(dep)
             notify.put(_Message("ok", task))
 
         def worker(device: str) -> None:
@@ -1251,16 +1194,10 @@ class DispatchKernel:
         }
         for t in workers.values():
             t.start()
-        xfer_thread: threading.Thread | None = None
-        if xfer_queue is not None:
-            xfer_thread = threading.Thread(
-                target=xfer_worker, name="duet-worker-transfer", daemon=True
-            )
-            xfer_thread.start()
         # Seed the queues with dependency-free tasks.
         for task in self.plan.tasks:
             if state.remaining_deps[task.task_id] == 0:
-                route(task, task.device)
+                queues[task.device].put(task)
 
         n_tasks = len(self.plan.tasks)
         n_done = 0
@@ -1291,20 +1228,9 @@ class DispatchKernel:
                 terminal = payload
             break
 
-        # Shutdown: drain, sentinel, join.  The transfer stage goes first
-        # so it cannot re-fill a compute queue after its drain.
+        # Shutdown: drain, sentinel, join.
         join_timeout = self.workers.join_timeout
         stuck = []
-        if xfer_queue is not None:
-            while True:
-                try:
-                    xfer_queue.get_nowait()
-                except queue.Empty:
-                    break
-            xfer_queue.put(None)
-            xfer_thread.join(timeout=join_timeout)
-            if xfer_thread.is_alive():
-                stuck.append("transfer")
         for q in queues.values():
             while True:
                 try:

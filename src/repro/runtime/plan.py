@@ -15,7 +15,7 @@ from typing import Mapping
 from repro.compiler.lowering import CompiledModule
 from repro.errors import SchedulingError
 
-__all__ = ["Source", "TaskSpec", "HeteroPlan"]
+__all__ = ["Source", "TaskSpec", "HeteroPlan", "single_device_plan"]
 
 
 @dataclass(frozen=True)
@@ -111,3 +111,20 @@ class HeteroPlan:
 
     def devices_used(self) -> set[str]:
         return {t.device for t in self.tasks}
+
+
+def single_device_plan(module: CompiledModule, device: str) -> HeteroPlan:
+    """Wrap a whole-model module as a one-task plan on ``device``.
+
+    This is how TVM executes a compiled model in the paper (§III-A):
+    kernels run in topological order on one device.  The simulator prices
+    it (host↔device transfers included off-host) like any other plan.
+    """
+    task = TaskSpec(
+        task_id=f"{module.graph.name}@{device}",
+        device=device,
+        module=module,
+        sources={iid: Source(kind="external", ref=iid) for iid in module.input_ids},
+    )
+    outputs = [(task.task_id, i) for i in range(len(module.output_ids))]
+    return HeteroPlan(tasks=[task], outputs=outputs)

@@ -147,20 +147,18 @@ class ResilienceConfig:
 
 
 @dataclass
-class ExecutionReport:
-    """Outcome of one resilient execution, recovery actions included.
+class ExecutionReport(CoreResult):
+    """A :class:`~repro.runtime.core.CoreResult` plus the recovery log.
+
+    ``outputs`` is ``None`` when the run failed, ``wall_time_s`` is
+    end-to-end (restarts included), and ``task_worker`` names the device
+    that *actually* ran each task (after any migration).
 
     Attributes:
-        outputs: model outputs (``None`` when the run failed).
-        wall_time_s: end-to-end wall-clock time.
-        task_worker: task id -> device worker that *actually* ran it
-            (after any migration).
-        task_order: completion order of the executed plan.
         events: chronological structured log of faults and recovery.
         counters: aggregate counts (``faults``, ``retries``,
             ``giveups``, ``device_losses``, ``failovers``,
             ``migrated_tasks``, ``task_deadline_misses``).
-        completed: whether the inference produced outputs.
         degraded_device: the surviving device after a failover, else
             ``None``; when set, subsequent requests should be served from
             the matching standing degradation plan.
@@ -168,15 +166,15 @@ class ExecutionReport:
             rather than migrating in place.
     """
 
-    outputs: list[np.ndarray] | None
-    wall_time_s: float
-    task_worker: dict[str, str]
-    task_order: list[str]
-    events: list[ExecutionEvent]
-    counters: dict[str, int]
-    completed: bool
+    events: list[ExecutionEvent] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
     degraded_device: str | None = None
     restarted: bool = False
+
+    @property
+    def completed(self) -> bool:
+        """Whether the inference produced outputs."""
+        return self.outputs is not None
 
     def events_of(self, kind: str) -> list[ExecutionEvent]:
         """All events of one kind, in order."""
@@ -250,7 +248,6 @@ class ResilientExecutor:
                 task_order=[],
                 events=events,
                 counters=counters,
-                completed=False,
             )
             raise
 
@@ -365,7 +362,6 @@ class ResilientExecutor:
             task_order=result.task_order,
             events=events,
             counters=counters,
-            completed=True,
             degraded_device=degraded,
             restarted=restarted,
         )

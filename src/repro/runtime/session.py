@@ -18,9 +18,10 @@ partition/profile/schedule pipeline — on every call.  An
   reuse stable buffers instead of allocating.
 
 ``run(inputs)`` then costs one inline dispatch: resolve feeds, execute
-kernels, collect outputs.  Outputs are copied out of the arena, so they
-stay valid after the next request overwrites the session's buffers and
-are bit-identical to a fresh ``DuetEngine.run``.
+kernels, collect outputs.  It returns the kernel's
+:class:`~repro.runtime.core.CoreResult` with its outputs copied out of
+the arena, so they stay valid after the next request overwrites the
+session's buffers and are bit-identical to a fresh ``DuetEngine.run``.
 
 A session is not thread-safe for concurrent ``run`` calls; an internal
 lock serializes them.  Sessions are cheap — use one per serving thread.
@@ -29,12 +30,12 @@ lock serializes them.  Sessions are cheap — use one per serving thread.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.runtime.core import (
+    CoreResult,
     DispatchKernel,
     ExecutionEvent,
     InlineWorkers,
@@ -50,25 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import DuetOptimization
     from repro.runtime.faults import FaultInjector
 
-__all__ = ["SessionResult", "EngineSession"]
-
-
-@dataclass
-class SessionResult:
-    """Outcome of one session request.
-
-    Attributes:
-        outputs: model outputs (owned by the caller; later requests on
-            the same session do not invalidate them).
-        wall_time_s: host wall-clock time of this request's dispatch
-            (active execution segments; time spent suspended at a phase
-            boundary is not billed).
-        preemptions: how many times the request was suspended.
-    """
-
-    outputs: list[np.ndarray]
-    wall_time_s: float
-    preemptions: int = 0
+__all__ = ["EngineSession"]
 
 
 class EngineSession:
@@ -143,8 +126,8 @@ class EngineSession:
         inputs: Mapping[str, np.ndarray] | None = None,
         should_preempt: Callable[[], bool] | None = None,
         checkpoint: PhaseCheckpoint | None = None,
-    ) -> "SessionResult | PhaseCheckpoint":
-        """One inference; returns outputs the caller owns.
+    ) -> "CoreResult | PhaseCheckpoint":
+        """One inference; returns a result whose outputs the caller owns.
 
         With a ``should_preempt`` predicate the request may suspend at a
         plan phase boundary: the
@@ -164,14 +147,11 @@ class EngineSession:
             if isinstance(outcome, PhaseCheckpoint):
                 return outcome
             self.requests_served += 1
-            return SessionResult(
-                outputs=[np.copy(o) for o in outcome.outputs],
-                wall_time_s=outcome.wall_time_s,
-                preemptions=checkpoint.preemptions if checkpoint else 0,
-            )
+            outcome.outputs = [np.copy(o) for o in outcome.outputs]
+            return outcome
 
     def run_many(
         self, batches: Iterable[Mapping[str, np.ndarray]]
-    ) -> list[SessionResult]:
+    ) -> list[CoreResult]:
         """Serve a sequence of requests back to back."""
         return [self.run(inputs) for inputs in batches]

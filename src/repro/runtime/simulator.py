@@ -30,10 +30,11 @@ The one axis is the **link discipline**:
 
 Times are cost-model means (what the scheduler's latency oracle uses) or
 per-kernel/per-transfer noise samples (what the tail-latency experiments
-use).  Optionally the kernels' NumPy closures actually execute, so
-correctness tests can compare heterogeneous execution bit-for-bit against
-the reference interpreter; the link discipline moves events on the
-virtual clock but never changes what is computed.
+use).  The timeline walks never execute a kernel: when inputs are given,
+:func:`simulate` takes its ``outputs`` from one inline
+:class:`~repro.runtime.core.DispatchKernel` run of the same plan, so the
+link discipline moves events on the virtual clock but never changes what
+is computed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.devices.machine import Machine, link_key
 from repro.errors import ExecutionError
-from repro.runtime.core import execute_kernels, resolve_feeds
+from repro.runtime.core import DispatchKernel, InlineWorkers
 from repro.runtime.plan import HeteroPlan, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -523,26 +524,6 @@ def _replay_eager(
     return completions, tasks, transfers
 
 
-def _replay_numerics(
-    plan: HeteroPlan, inputs: Mapping[str, np.ndarray]
-) -> list[np.ndarray]:
-    """Execute the plan's kernels in plan order; returns the model outputs.
-
-    Goes through the same feed-resolution and kernel-execution helpers as
-    the unified dispatch kernel (no injector: chaos on the simulator is
-    virtual-clock only).
-    """
-    values: dict[tuple[str, int], np.ndarray] = {}
-    task_device: dict[str, str] = {}
-    for task in plan.tasks:
-        feeds = resolve_feeds(task, task.device, inputs, values, task_device)
-        env = execute_kernels(task, feeds)
-        task_device[task.task_id] = task.device
-        for index, out_id in enumerate(task.module.output_ids):
-            values[(task.task_id, index)] = env[out_id]
-    return [values[key] for key in plan.outputs]
-
-
 def simulate(
     plan: HeteroPlan,
     machine: Machine,
@@ -560,8 +541,9 @@ def simulate(
         machine: devices + links pricing the virtual clock.
         rng: pass a generator to sample noisy latencies; ``None`` uses
             deterministic mean times.
-        inputs: pass model inputs to also execute kernels numerically (the
-            result then carries ``outputs``).
+        inputs: pass model inputs to also execute the plan numerically
+            through one inline dispatch (the result then carries
+            ``outputs``; the injector is virtual-clock only).
         kernel_times: optional precomputed per-task mean kernel durations
             (task id -> one duration per kernel, in kernel order).  Used
             only in mean mode (``rng is None``); latencies are bit-identical
@@ -593,11 +575,11 @@ def simulate(
         (latency,), tasks, transfers = _replay_eager(plan, machine, clock, [0.0])
     else:
         latency, tasks, transfers = _walk_lazy(plan, machine, clock, injector)
+    outputs = None
+    if inputs is not None:
+        outputs = DispatchKernel(plan, workers=InlineWorkers()).run(inputs).outputs
     return ExecutionResult(
-        latency=latency,
-        tasks=tasks,
-        transfers=transfers,
-        outputs=None if inputs is None else _replay_numerics(plan, inputs),
+        latency=latency, tasks=tasks, transfers=transfers, outputs=outputs
     )
 
 

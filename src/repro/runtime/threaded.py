@@ -2,13 +2,14 @@
 
 The paper's executor (§IV-D) spawns one worker per device; each works a
 busy loop — poll the synchronization queue, execute the subgraph, trigger
-its dependents.  This module is a thin shim over the unified dispatch
-kernel in :mod:`repro.runtime.core` (:class:`~repro.runtime.core.
-DispatchKernel` with :class:`~repro.runtime.core.ThreadedWorkers` and the
-abort-on-failure policy): actual Python threads and ``queue.Queue``
-objects executing kernels numerically, so the dependency-triggering logic
-is validated under true concurrency (NumPy releases the GIL inside its
-kernels, so the two workers genuinely overlap).
+its dependents.  :class:`ThreadedExecutor` is
+:class:`~repro.runtime.core.DispatchKernel` with
+:class:`~repro.runtime.core.ThreadedWorkers` and the abort-on-failure
+policy: actual Python threads and ``queue.Queue`` objects executing
+kernels numerically, so the dependency-triggering logic is validated
+under true concurrency (NumPy releases the GIL inside its kernels, so the
+two workers genuinely overlap).  It returns the kernel's
+:class:`~repro.runtime.core.CoreResult` unchanged.
 
 Timing of *this* executor is host wall-clock (useful as a sanity signal);
 the calibrated virtual-time results come from
@@ -23,28 +24,22 @@ failing-over path lives in :mod:`repro.runtime.resilient`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.runtime.core import AbortPolicy, DispatchKernel, ThreadedWorkers
+from repro.runtime.core import (
+    AbortPolicy,
+    CoreResult,
+    DispatchKernel,
+    ThreadedWorkers,
+)
 from repro.runtime.plan import HeteroPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.runtime.faults import FaultInjector
 
-__all__ = ["ThreadedResult", "ThreadedExecutor"]
-
-
-@dataclass
-class ThreadedResult:
-    """Outcome of a threaded execution."""
-
-    outputs: list[np.ndarray]
-    wall_time_s: float
-    task_worker: dict[str, str]  # task id -> device worker that ran it
-    task_order: list[str]  # completion order
+__all__ = ["ThreadedExecutor"]
 
 
 class ThreadedExecutor:
@@ -59,9 +54,6 @@ class ThreadedExecutor:
         fault_injector: optional deterministic chaos hooks
             (:class:`~repro.runtime.faults.FaultInjector`); injected
             faults abort the run like real ones.
-        overlap: enable the double-buffered transfer stage — cross-device
-            feeds are staged on a dedicated transfer worker while the
-            device workers compute.  Outputs are bit-identical either way.
     """
 
     def __init__(
@@ -69,26 +61,16 @@ class ThreadedExecutor:
         plan: HeteroPlan,
         join_timeout: float = 5.0,
         fault_injector: "FaultInjector | None" = None,
-        overlap: bool = False,
     ):
         self.plan = plan
         self.join_timeout = join_timeout
         self.fault_injector = fault_injector
-        self.overlap = overlap
 
-    def run(self, inputs: Mapping[str, np.ndarray]) -> ThreadedResult:
+    def run(self, inputs: Mapping[str, np.ndarray]) -> CoreResult:
         """Execute the plan numerically; blocks until all tasks finish."""
-        kernel = DispatchKernel(
+        return DispatchKernel(
             self.plan,
             workers=ThreadedWorkers(join_timeout=self.join_timeout),
             fault_injector=self.fault_injector,
             failure_policy=AbortPolicy(),
-            overlap=self.overlap,
-        )
-        result = kernel.run(inputs)
-        return ThreadedResult(
-            outputs=result.outputs,
-            wall_time_s=result.wall_time_s,
-            task_worker=result.task_worker,
-            task_order=result.task_order,
-        )
+        ).run(inputs)

@@ -5,15 +5,16 @@ model computes — is checked here by running one graph through every live
 execution path and demanding exact agreement:
 
 * the :mod:`repro.ir.interpreter` (semantic ground truth);
-* the compiled single-device runtime, on CPU and on GPU;
+* ``single:<device>``: the whole-model module as a one-task plan
+  (:func:`~repro.runtime.plan.single_device_plan`) through
+  :func:`~repro.runtime.simulator.simulate`, on every device;
 * the discrete-event simulator executing the scheduled heterogeneous
-  plan's kernels numerically (its timeline is additionally checked
-  against the execution invariants, and its predicted completion order
-  must linearize the task DAG) — under both the lazy and the
-  double-buffered ``overlap=True`` transfer disciplines, which must be
-  bit-identical (overlap changes the virtual clock, never the data);
-* the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads),
-  with and without the prefetching transfer worker;
+  plan numerically (its timeline is additionally checked against the
+  execution invariants, and its predicted completion order must
+  linearize the task DAG) — under both the lazy and the double-buffered
+  ``overlap=True`` transfer disciplines, which must be bit-identical
+  (overlap changes the virtual clock, never the data);
+* the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads);
 * the :class:`~repro.runtime.resilient.ResilientExecutor` with no faults
   injected (the recovery machinery must be a no-op on healthy runs);
 * the unified :class:`~repro.runtime.core.DispatchKernel` driven
@@ -26,6 +27,9 @@ execution path and demanding exact agreement:
   full dispatch clobbering the shared arena between segments — the
   serving frontend's phase-boundary preemption path, which must resume
   from its checkpointed frontier bit-identically.
+
+:data:`EXECUTOR_NAMES` lists every arm; the plan arms (``simulator`` to
+``preempt``) also run on the forced placement under an ``@alt`` suffix.
 
 Outputs are compared element-exactly (same shape, same dtype, ``==``
 everywhere) — all paths run the same NumPy kernels in dependency order,
@@ -57,7 +61,7 @@ exercised over ctypes-dispatched kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -74,14 +78,13 @@ from repro.ir.graph import Graph
 from repro.ir.interpreter import make_inputs, run_graph
 from repro.runtime.core import DispatchKernel, InlineWorkers, PhaseCheckpoint
 from repro.runtime.memory import TensorArena
+from repro.runtime.plan import single_device_plan
 from repro.runtime.resilient import ResilientExecutor
 from repro.runtime.simulator import simulate
-from repro.runtime.single import run_single_device
 from repro.runtime.threaded import ThreadedExecutor
 from repro.testing.invariants import (
     check_execution,
     check_placement,
-    check_plan,
     check_task_order,
     validate_schedule,
 )
@@ -98,7 +101,6 @@ EXECUTOR_NAMES = (
     "simulator",
     "simulator:overlap",
     "threaded",
-    "threaded:overlap",
     "resilient",
     "core",
     "preempt",
@@ -287,8 +289,8 @@ def run_differential(
 
             def run_single(outcome, device=dev.name, target=device_target(dev)):
                 module = compiler.compile(graph, target)
-                result = run_single_device(
-                    module, device, machine, inputs=feeds
+                result = simulate(
+                    single_device_plan(module, device), machine, inputs=feeds
                 )
                 outcome.outputs = result.outputs
                 report.divergences += _compare(
@@ -319,8 +321,6 @@ def run_differential(
         if not native_available():
             outcome.skipped = True
             return
-        from repro.runtime.single import single_device_plan
-
         module = native_compiler.compile(graph, device_target(host_dev))
         plan = single_device_plan(module, host_dev.name)
         result = ThreadedExecutor(plan).run(feeds)
@@ -437,8 +437,8 @@ def run_differential(
                         "bit-identical to the lazy simulation"
                     )
 
-        def run_threaded(outcome, plan=plan, overlap=False, plan_budget=plan_budget):
-            result = ThreadedExecutor(plan, overlap=overlap).run(feeds)
+        def run_threaded(outcome, plan=plan, plan_budget=plan_budget):
+            result = ThreadedExecutor(plan).run(feeds)
             outcome.outputs = result.outputs
             outcome.task_order = result.task_order
             report.divergences += _compare(
@@ -523,12 +523,6 @@ def run_differential(
         attempt(f"simulator{suffix}", run_simulator)
         attempt(f"simulator:overlap{suffix}", run_simulator_overlap)
         attempt(f"threaded{suffix}", run_threaded)
-        attempt(
-            f"threaded:overlap{suffix}",
-            lambda outcome, plan=plan: run_threaded(
-                outcome, plan=plan, overlap=True
-            ),
-        )
         attempt(f"resilient{suffix}", run_resilient)
         attempt(f"core{suffix}", run_core)
         attempt(f"preempt{suffix}", run_preempt)

@@ -1,5 +1,5 @@
 """Tests for the unified dispatch core: stack composition, middleware,
-worker strategies, and the single-device result shim."""
+worker strategies, and single-device plans."""
 
 import dataclasses
 import threading
@@ -31,8 +31,9 @@ from repro.runtime.core import (
     build_attempt_stack,
 )
 from repro.runtime.memory import TensorArena
-from repro.runtime.plan import HeteroPlan
-from repro.runtime.single import run_single_device
+from repro.runtime.plan import HeteroPlan, single_device_plan
+from repro.runtime.simulator import simulate
+from repro.runtime.threaded import ThreadedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -255,25 +256,27 @@ class TestInvariantMiddleware:
             InvariantMiddleware()(ctx, fake_execute)
 
 
-class TestSingleDeviceResult:
-    @pytest.fixture(scope="class")
-    def result(self, plan_and_graph):
+class TestSingleDevicePlan:
+    def test_simulate_carries_outputs(self, plan_and_graph):
         from repro.devices import default_machine
 
         _, graph = plan_and_graph
         module = Compiler().compile(graph, CPU_TARGET)
-        return run_single_device(
-            module, "cpu", default_machine(noisy=False), inputs=make_inputs(graph)
+        result = simulate(
+            single_device_plan(module, "cpu"),
+            default_machine(noisy=False),
+            inputs=make_inputs(graph),
         )
-
-    def test_carries_outputs_and_wall_time(self, result, plan_and_graph):
-        _, graph = plan_and_graph
         ref = run_graph(graph, make_inputs(graph))
         for got, want in zip(result.outputs, ref):
             np.testing.assert_array_equal(got, np.asarray(want))
-        assert result.wall_time_s > 0
 
-    def test_dict_access_removed_for_unknown_keys_too(self, result):
-        for key in ("latency", "no_such_field"):
-            with pytest.raises(TypeError):
-                result[key]
+
+class TestThreadedRunWithoutInputs:
+    def test_raises_before_starting_workers(self, plan_and_graph):
+        plan, _ = plan_and_graph
+        with pytest.raises(ExecutionError, match="needs inputs"):
+            ThreadedExecutor(plan).run(None)
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("duet-worker-")
+        ]

@@ -1,8 +1,7 @@
 """Tests for the double-buffered (overlap) transfer discipline.
 
 Covers the eager link discipline of :mod:`repro.runtime.simulator`
-(``simulate(..., overlap=True)`` and ``simulate_stream``), the
-prefetching transfer worker of the threaded executor, and the
+(``simulate(..., overlap=True)`` and ``simulate_stream``) and the
 bit-identity guarantee: overlap changes the virtual clock, never the
 data.
 """
@@ -15,7 +14,6 @@ from repro.ir import GraphBuilder
 from repro.runtime import Source, simulate, simulate_stream
 from repro.runtime.faults import FaultInjector, FaultPlan, TransferFault
 from repro.runtime.plan import HeteroPlan
-from repro.runtime.threaded import ThreadedExecutor
 
 from .test_simulator import _dense_graph, _ext, _task
 
@@ -109,24 +107,6 @@ class TestBitIdentity:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
 
-    def test_threaded_prefetch_outputs_bit_identical(self, machine):
-        plan = _late_vs_bulk_plan()
-        feeds = {
-            "x": np.random.default_rng(2)
-            .standard_normal((1, 256))
-            .astype(np.float32),
-            "xb": np.random.default_rng(3)
-            .standard_normal((1, 256 * 1024))
-            .astype(np.float32),
-        }
-        plain = ThreadedExecutor(plan).run(feeds)
-        prefetched = ThreadedExecutor(plan, overlap=True).run(feeds)
-        for a, b in zip(plain.outputs, prefetched.outputs):
-            assert np.array_equal(a, b)
-        # Placement is still honored by the prefetching configuration.
-        for tid, dev in prefetched.task_worker.items():
-            assert plan.task(tid).device == dev
-
 
 class TestGuards:
     def test_overlap_rejects_fault_injection(self, machine):
@@ -170,4 +150,3 @@ class TestDifferentialOracle:
         report = run_differential(graph, machine)
         assert report.ok, report.summary()
         assert any("simulator:overlap" in n for n in report.outcomes)
-        assert any("threaded:overlap" in n for n in report.outcomes)

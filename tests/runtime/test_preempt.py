@@ -26,13 +26,13 @@ from repro.errors import ExecutionError
 from repro.ir import make_inputs
 from repro.models import build_model
 from repro.runtime.core import (
+    CoreResult,
     DispatchKernel,
     InlineWorkers,
     PhaseCheckpoint,
     ThreadedWorkers,
 )
 from repro.runtime.memory import TensorArena
-from repro.runtime.session import SessionResult
 from repro.testing.generators import GeneratorConfig, generate_graph
 from repro.testing.oracle import EXECUTOR_NAMES, run_differential
 
@@ -74,6 +74,7 @@ class TestKernelPreemption:
             hops += 1
             out = kernel.run(should_preempt=lambda: True, checkpoint=out)
         assert hops == boundaries
+        assert out.preemptions == hops
         for got, want in zip(out.outputs, ref):
             np.testing.assert_array_equal(got, want)
 
@@ -165,7 +166,7 @@ class TestSessionPreemption:
             outcome = session.run(
                 should_preempt=lambda: True, checkpoint=outcome
             )
-        assert isinstance(outcome, SessionResult)
+        assert isinstance(outcome, CoreResult)
         assert resumes == phase_boundaries(opt.plan)
         assert outcome.preemptions == resumes
         assert outcome.wall_time_s > 0
@@ -200,7 +201,7 @@ class TestSessionPreemption:
         # Overriding with never-preempt finishes in one resume even
         # though the original predicate always fires.
         outcome = session.run(should_preempt=lambda: False, checkpoint=outcome)
-        assert isinstance(outcome, SessionResult)
+        assert isinstance(outcome, CoreResult)
         assert outcome.preemptions == 1
         for got, want in zip(outcome.outputs, ref):
             np.testing.assert_array_equal(got, want)
@@ -220,7 +221,7 @@ class TestSessionPreemption:
         engine, opt, feeds, ref = served
         session = engine.session(opt)
         outcome = session.run(feeds, should_preempt=lambda: False)
-        assert isinstance(outcome, SessionResult)
+        assert isinstance(outcome, CoreResult)
         assert outcome.preemptions == 0
         for got, want in zip(outcome.outputs, ref):
             np.testing.assert_array_equal(got, want)

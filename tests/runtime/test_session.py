@@ -8,7 +8,8 @@ import pytest
 from repro.core import DuetEngine
 from repro.ir import make_inputs
 from repro.models import build_model
-from repro.runtime.session import EngineSession, SessionResult
+from repro.runtime.core import CoreResult
+from repro.runtime.session import EngineSession
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ class TestEngineSession:
         ref = engine.run(session.opt, feeds).outputs
         for _ in range(3):
             result = session.run(feeds)
-            assert isinstance(result, SessionResult)
+            assert isinstance(result, CoreResult)
             assert len(result.outputs) == len(ref)
             for got, want in zip(result.outputs, ref):
                 np.testing.assert_array_equal(got, want)

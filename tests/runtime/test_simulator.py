@@ -9,8 +9,8 @@ from repro.runtime import (
     HeteroPlan,
     Source,
     TaskSpec,
-    run_single_device,
     simulate,
+    single_device_plan,
 )
 
 
@@ -36,7 +36,7 @@ class TestSingleDevice:
     def test_cpu_latency_is_kernel_sum(self, machine):
         g = _dense_graph()
         mod = lower(g, CPU_TARGET)
-        result = run_single_device(mod, "cpu", machine)
+        result = simulate(single_device_plan(mod, "cpu"), machine)
         cpu = machine.device("cpu")
         expected = sum(cpu.kernel_time(k.cost) for k in mod.kernels)
         assert result.latency == pytest.approx(expected)
@@ -45,7 +45,7 @@ class TestSingleDevice:
     def test_gpu_pays_io_transfers(self, machine):
         g = _dense_graph()
         mod = lower(g, GPU_TARGET)
-        result = run_single_device(mod, "gpu", machine)
+        result = simulate(single_device_plan(mod, "gpu"), machine)
         gpu = machine.device("gpu")
         kernel_time = sum(gpu.kernel_time(k.cost) for k in mod.kernels)
         assert result.latency > kernel_time
@@ -53,7 +53,7 @@ class TestSingleDevice:
 
     def test_kernel_records_contiguous(self, machine, tiny_model):
         mod = lower(tiny_model, CPU_TARGET)
-        result = run_single_device(mod, "cpu", machine)
+        result = simulate(single_device_plan(mod, "cpu"), machine)
         record = result.tasks[0]
         kernels = record.kernels
         assert [k.name for k in kernels] == [k.name for k in mod.kernels]
@@ -177,7 +177,7 @@ class TestNumericExecution:
     def test_outputs_match_interpreter(self, machine, diamond_graph):
         mod = lower(diamond_graph, CPU_TARGET)
         feeds = make_inputs(diamond_graph)
-        result = run_single_device(mod, "cpu", machine, inputs=feeds)
+        result = simulate(single_device_plan(mod, "cpu"), machine, inputs=feeds)
         ref = run_graph(diamond_graph, feeds)
         np.testing.assert_allclose(result.outputs[0], ref[0], rtol=1e-5)
 
@@ -197,7 +197,7 @@ class TestNumericExecution:
 
     def test_no_inputs_no_outputs(self, machine, diamond_graph):
         mod = lower(diamond_graph, CPU_TARGET)
-        result = run_single_device(mod, "cpu", machine)
+        result = simulate(single_device_plan(mod, "cpu"), machine)
         assert result.outputs is None
 
 
@@ -206,13 +206,13 @@ class TestNoiseMode:
         mod = lower(diamond_graph, CPU_TARGET)
         rng = np.random.default_rng(0)
         xs = {
-            run_single_device(mod, "cpu", noisy_machine, rng=rng).latency
+            simulate(single_device_plan(mod, "cpu"), noisy_machine, rng=rng).latency
             for _ in range(10)
         }
         assert len(xs) > 1
 
     def test_mean_mode_deterministic(self, machine, diamond_graph):
         mod = lower(diamond_graph, CPU_TARGET)
-        a = run_single_device(mod, "cpu", machine).latency
-        b = run_single_device(mod, "cpu", machine).latency
+        a = simulate(single_device_plan(mod, "cpu"), machine).latency
+        b = simulate(single_device_plan(mod, "cpu"), machine).latency
         assert a == b

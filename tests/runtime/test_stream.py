@@ -6,8 +6,7 @@ import pytest
 from repro.core import DuetEngine
 from repro.errors import ExecutionError
 from repro.models import build_model
-from repro.runtime import run_single_device, simulate, simulate_stream
-from repro.runtime.single import single_device_plan
+from repro.runtime import simulate, simulate_stream, single_device_plan
 
 
 @pytest.fixture(scope="module")
