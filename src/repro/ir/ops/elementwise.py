@@ -92,7 +92,9 @@ _register_unary(
 _register_unary("tanh", np.tanh, flops_per_elem=10.0)
 _register_unary(
     "gelu",
-    lambda x: 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3))),
+    lambda x: 0.5 * x * (
+        1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x))
+    ),
     flops_per_elem=14.0,
 )
 _register_unary("identity", lambda x: x.copy(), flops_per_elem=0.0)

@@ -1,9 +1,16 @@
 """Compute-heavy neural-network operators: dense, conv2d, pooling, norms.
 
-Reference implementations use NumPy; conv2d is implemented with im2col +
-GEMM so outputs are exact and reasonably fast.  FLOP and parallelism
-functions feed the device cost models: convolutions expose large spatial
-parallelism (GPU-friendly) while batch-1 GEMMs expose little (§III-B).
+Reference implementations use NumPy, and they are also the kernels the
+NumPy backend runs, so each is the plain fast idiom.  conv2d unfolds the
+input with :func:`im2col` and multiplies by the ``[OC, IC*KH*KW]``
+weight in one broadcast ``np.matmul``.  Pooling folds the ``KH*KW``
+strided slices of the padded input elementwise, in window order (``kh``
+outer, ``kw`` inner): ``np.maximum`` into a copy of the first slice for
+max (NaN propagates, bit-identical to the rendered C), a running sum
+divided once by ``KH*KW`` for avg (the C loop's order).  FLOP and
+parallelism functions feed the device cost models: convolutions expose
+large spatial parallelism (GPU-friendly) while batch-1 GEMMs expose
+little (§III-B).
 """
 
 from __future__ import annotations
@@ -183,13 +190,10 @@ def im2col(
 def _conv2d_compute(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
     data, weight = xs
     strides, padding = _conv_attrs(attrs)
-    oc, ic, kh, kw = weight.shape
-    n, _, _, _ = data.shape
-    _, _, oh, ow = conv2d_output_shape(data.shape, weight.shape, strides, padding)
+    _, _, kh, kw = weight.shape
+    n, oc, oh, ow = conv2d_output_shape(data.shape, weight.shape, strides, padding)
     cols = im2col(data, kh, kw, strides, padding)  # [N, IC*KH*KW, OH*OW]
-    w2 = weight.reshape(oc, ic * kh * kw)
-    out = np.einsum("ok,nkp->nop", w2, cols, optimize=True)
-    return np.ascontiguousarray(out.reshape(n, oc, oh, ow))
+    return np.matmul(weight.reshape(oc, -1), cols).reshape(n, oc, oh, ow)
 
 
 def _conv2d_flops(in_types, out_type, attrs) -> float:
@@ -240,27 +244,45 @@ def _pool_infer(in_types: Sequence[TensorType], attrs: Attrs) -> TensorType:
     return data.with_shape((n, c, oh, ow))
 
 
-def _pool_patches(xs: Sequence[np.ndarray], attrs: Attrs, pad_value: float) -> np.ndarray:
+def _pool_patches(
+    xs: Sequence[np.ndarray], attrs: Attrs, pad_value: float
+) -> list[np.ndarray]:
+    """The ``k0*k1`` strided ``[N, C, OH, OW]`` slices of the padded
+    input, one per window offset, row-major (``kh`` outer, ``kw`` inner)."""
     (data,) = xs
-    k = tuple(int(v) for v in attrs.get("pool_size", (2, 2)))
-    strides = tuple(int(v) for v in attrs.get("strides", k))
-    padding = tuple(int(v) for v in attrs.get("padding", (0, 0)))
-    n, c, h, w = data.shape
-    ph, pw = padding
+    k0, k1 = (int(v) for v in attrs.get("pool_size", (2, 2)))
+    sh, sw = (int(v) for v in attrs.get("strides", (k0, k1)))
+    ph, pw = (int(v) for v in attrs.get("padding", (0, 0)))
+    _, _, h, w = data.shape
     if ph or pw:
         data = np.pad(
             data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=pad_value
         )
-    oh = (h + 2 * ph - k[0]) // strides[0] + 1
-    ow = (w + 2 * pw - k[1]) // strides[1] + 1
-    s0, s1, s2, s3 = data.strides
-    view = np.lib.stride_tricks.as_strided(
-        data,
-        shape=(n, c, oh, ow, k[0], k[1]),
-        strides=(s0, s1, s2 * strides[0], s3 * strides[1], s2, s3),
-        writeable=False,
-    )
-    return view
+    rows = sh * ((h + 2 * ph - k0) // sh)
+    cols = sw * ((w + 2 * pw - k1) // sw)
+    return [
+        data[:, :, i : i + rows + 1 : sh, j : j + cols + 1 : sw]
+        for i in range(k0)
+        for j in range(k1)
+    ]
+
+
+def _max_pool2d(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
+    first, *rest = _pool_patches(xs, attrs, -np.inf)
+    out = first.copy()
+    for v in rest:
+        np.maximum(out, v, out=out)
+    return out
+
+
+def _avg_pool2d(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
+    # Summed in window order, divided once: the rendered C loop's order.
+    first, *rest = _pool_patches(xs, attrs, 0.0)
+    out = first.copy()
+    for v in rest:
+        np.add(out, v, out=out)
+    out /= len(rest) + 1
+    return out
 
 
 register_op(
@@ -270,7 +292,7 @@ register_op(
         pattern=OpPattern.OUT_FUSABLE,
         kind=OpKind.REDUCTION,
         infer_type=_pool_infer,
-        compute=lambda xs, attrs: _pool_patches(xs, attrs, -np.inf).max(axis=(4, 5)),
+        compute=_max_pool2d,
         flops=lambda i, o, a: float(
             o.num_elements
             * int(a.get("pool_size", (2, 2))[0])
@@ -286,7 +308,7 @@ register_op(
         pattern=OpPattern.OUT_FUSABLE,
         kind=OpKind.REDUCTION,
         infer_type=_pool_infer,
-        compute=lambda xs, attrs: _pool_patches(xs, attrs, 0.0).mean(axis=(4, 5)),
+        compute=_avg_pool2d,
         flops=lambda i, o, a: float(
             o.num_elements
             * int(a.get("pool_size", (2, 2))[0])

@@ -9,7 +9,10 @@ than CPU at batch size 1.
 
 Layout convention: data is ``[batch, seq_len, input_size]``, weights follow
 the PyTorch convention ``w_ih: [G*H, I]``, ``w_hh: [G*H, H]``, ``bias:
-[G*H]`` with gate order (i, f, g, o) for LSTM and (r, z, n) for GRU.
+[G*H]`` with gate order (i, f, g, o) for LSTM and (r, z, n) for GRU.  The
+one bias is the input-side bias (for GRU's ``n`` gate it sits outside
+``r * (h @ w_hn.T)``).  The kernels project every step's input in one
+GEMM before the loop, so each step multiplies only the hidden state.
 """
 
 from __future__ import annotations
@@ -80,6 +83,15 @@ def _rnn_steps(in_types: Sequence[TensorType], attrs: Attrs) -> int:
     return int(in_types[0].shape[1])
 
 
+def _input_projection(
+    data: np.ndarray, w_ih: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """``x_t @ w_ih.T + bias`` for every step ``t``, as one ``[B*T, I]``
+    GEMM: ``[B, T, G*H]``."""
+    b, t, i = data.shape
+    return (data.reshape(b * t, i) @ w_ih.T + bias).reshape(b, t, -1)
+
+
 def _lstm_compute(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
     data, w_ih, w_hh, bias = xs
     b, t, _ = data.shape
@@ -88,8 +100,9 @@ def _lstm_compute(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
     h = np.zeros((b, hidden), dtype=data.dtype)
     c = np.zeros((b, hidden), dtype=data.dtype)
     outputs = np.empty((b, t, hidden), dtype=data.dtype) if return_sequences else None
+    xw = _input_projection(data, w_ih, bias)
     for step in range(t):
-        gates = data[:, step, :] @ w_ih.T + h @ w_hh.T + bias
+        gates = xw[:, step, :] + h @ w_hh.T
         gi, gf, gg, go = np.split(gates, 4, axis=1)
         i_t = _sigmoid(gi)
         f_t = _sigmoid(gf)
@@ -125,14 +138,13 @@ def _gru_compute(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
     return_sequences = bool(attrs.get("return_sequences", True))
     h = np.zeros((b, hidden), dtype=data.dtype)
     outputs = np.empty((b, t, hidden), dtype=data.dtype) if return_sequences else None
-    w_ir, w_iz, w_in = np.split(w_ih, 3, axis=0)
-    w_hr, w_hz, w_hn = np.split(w_hh, 3, axis=0)
-    b_r, b_z, b_n = np.split(bias, 3)
+    xw = _input_projection(data, w_ih, bias)
     for step in range(t):
-        x = data[:, step, :]
-        r = _sigmoid(x @ w_ir.T + h @ w_hr.T + b_r)
-        z = _sigmoid(x @ w_iz.T + h @ w_hz.T + b_z)
-        n = np.tanh(x @ w_in.T + r * (h @ w_hn.T) + b_n)
+        x_r, x_z, x_n = np.split(xw[:, step, :], 3, axis=1)
+        h_r, h_z, h_n = np.split(h @ w_hh.T, 3, axis=1)
+        r = _sigmoid(x_r + h_r)
+        z = _sigmoid(x_z + h_z)
+        n = np.tanh(x_n + r * h_n)
         h = (1.0 - z) * n + z * h
         if outputs is not None:
             outputs[:, step, :] = h

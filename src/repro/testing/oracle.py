@@ -89,7 +89,12 @@ from repro.testing.invariants import (
     validate_schedule,
 )
 
-__all__ = ["ExecutorOutcome", "DifferentialReport", "run_differential"]
+__all__ = [
+    "ExecutorOutcome",
+    "DifferentialReport",
+    "pinned_native_compiler",
+    "run_differential",
+]
 
 #: The execution paths the oracle cross-checks (plus the interpreter).
 EXECUTOR_NAMES = (
@@ -227,6 +232,16 @@ def _plan_budget(plan) -> float:
     return sum(_module_budget(task.module) for task in plan.tasks)
 
 
+def pinned_native_compiler() -> Compiler:
+    """The compiler of every native arm but ``native:selected``: the
+    default tile pinned, so rendered C runs wherever the renderer accepts
+    the group, with no contest."""
+    from repro.compiler.native import NativeOptions
+    from repro.compiler.native.renderer import DEFAULT_TILE
+
+    return Compiler(backend="native", native=NativeOptions(tile=DEFAULT_TILE))
+
+
 def run_differential(
     graph: Graph,
     machine: Machine | None = None,
@@ -275,14 +290,9 @@ def run_differential(
         report.outcomes[name] = outcome
         return outcome
 
-    # Every native arm but ``native:selected`` pins the tile: rendered C
-    # wherever the renderer accepts the group, no contest.
-    from repro.compiler.native import NativeOptions, native_available
-    from repro.compiler.native.renderer import DEFAULT_TILE
+    from repro.compiler.native import native_available
 
-    native_compiler = Compiler(
-        backend="native", native=NativeOptions(tile=DEFAULT_TILE)
-    )
+    native_compiler = pinned_native_compiler()
     compiler = native_compiler if backend == "native" else Compiler()
     if single_device:
         for dev in machine.devices:

@@ -38,13 +38,40 @@ def naive_lstm(data, w_ih, w_hh, bias, hidden):
     return np.stack(outs, axis=1)
 
 
+def naive_gru(data, w_ih, w_hh, bias, hidden):
+    """Step-by-step PyTorch-convention GRU, gate order (r, z, n).  The one
+    bias is the input-side bias; the recurrent side has none, so ``b_n``
+    sits outside ``r * (...)``."""
+    b, t, _ = data.shape
+    h = np.zeros((b, hidden), dtype=data.dtype)
+    w_ir, w_iz, w_in = w_ih[:hidden], w_ih[hidden : 2 * hidden], w_ih[2 * hidden :]
+    w_hr, w_hz, w_hn = w_hh[:hidden], w_hh[hidden : 2 * hidden], w_hh[2 * hidden :]
+    b_r, b_z, b_n = bias[:hidden], bias[hidden : 2 * hidden], bias[2 * hidden :]
+    outs = []
+    for step in range(t):
+        x = data[:, step]
+        r = _sigmoid(x @ w_ir.T + b_r + h @ w_hr.T)
+        z = _sigmoid(x @ w_iz.T + b_z + h @ w_hz.T)
+        n = np.tanh(x @ w_in.T + b_n + r * (h @ w_hn.T))
+        h = (1.0 - z) * n + z * h
+        outs.append(h.copy())
+    return np.stack(outs, axis=1)
+
+
 class TestLSTM:
     def test_matches_naive_reference(self, rng):
-        data, w_ih, w_hh, bias = _make_lstm_inputs(rng)
         spec = get_op("lstm")
-        got = spec.compute([data, w_ih, w_hh, bias], {"hidden_size": 4})
-        want = naive_lstm(data, w_ih, w_hh, bias, 4)
-        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+        for batch in (1, 2):
+            data, w_ih, w_hh, bias = _make_lstm_inputs(rng, b=batch)
+            want = naive_lstm(data, w_ih, w_hh, bias, 4)
+            for seq in (True, False):
+                got = spec.compute(
+                    [data, w_ih, w_hh, bias],
+                    {"hidden_size": 4, "return_sequences": seq},
+                )
+                np.testing.assert_allclose(
+                    got, want if seq else want[:, -1], rtol=1e-4, atol=1e-5
+                )
 
     def test_last_hidden_only(self, rng):
         data, w_ih, w_hh, bias = _make_lstm_inputs(rng)
@@ -142,6 +169,22 @@ class TestLSTM:
 
 
 class TestGRU:
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matches_naive_reference(self, rng, batch):
+        data = rng.standard_normal((batch, 6, 3)).astype(np.float32)
+        w_ih = rng.standard_normal((12, 3)).astype(np.float32) * 0.5
+        w_hh = rng.standard_normal((12, 4)).astype(np.float32) * 0.5
+        bias = rng.standard_normal(12).astype(np.float32) * 0.3
+        spec = get_op("gru")
+        want = naive_gru(data, w_ih, w_hh, bias, 4)
+        for seq in (True, False):
+            got = spec.compute(
+                [data, w_ih, w_hh, bias], {"hidden_size": 4, "return_sequences": seq}
+            )
+            np.testing.assert_allclose(
+                got, want if seq else want[:, -1], rtol=1e-4, atol=1e-5
+            )
+
     def test_output_shape(self, rng):
         data = rng.standard_normal((2, 6, 3)).astype(np.float32)
         w_ih = rng.standard_normal((12, 3)).astype(np.float32) * 0.3
