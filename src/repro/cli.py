@@ -8,6 +8,7 @@ Examples::
     python -m repro optimize wide_deep --runs 2000
     python -m repro optimize wide_deep --backend native
     python -m repro bench fig13
+    python -m repro serve mtdnn --tiny --requests 50
     python -m repro fuzz --seed 0 --count 50
 """
 
@@ -35,34 +36,6 @@ def _machine_from_args(args: argparse.Namespace):
     if args.mesh:
         return load_mesh(args.mesh)
     return default_machine(noisy=False)
-
-
-def _finish(
-    args: argparse.Namespace,
-    text: str,
-    to_json: Callable[[], object],
-    ok: bool = True,
-    metrics_text: str = "",
-) -> int:
-    """The shared tail of the report-printing commands.
-
-    Prints ``text`` (with the metrics exposition appended under
-    ``--metrics``), prints ``to_json()`` under ``--json``, writes the
-    ``--output`` artifact — ``to_json()`` for a ``.json`` path, the
-    printed text otherwise — and exits 1 unless ``ok``.
-    """
-    if getattr(args, "metrics", False):
-        text += "\n\n" + metrics_text.rstrip("\n")
-    print(text)
-    if getattr(args, "json", False):
-        print(json.dumps(to_json(), indent=2))
-    if args.output:
-        if args.output.endswith(".json"):
-            text = json.dumps(to_json(), indent=2)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"report written to {args.output}")
-    return 0 if ok else 1
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -196,87 +169,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Closed-loop load through the multi-tenant serving frontend."""
-    from repro.bench.loadgen import (
-        OUTCOMES,
-        TENANT_COLUMNS,
-        Client,
-        Scoreboard,
-        elementwise_chain,
-        record_preemptions,
-        run_closed_loop,
-        tenant_scoreboards,
-    )
+    """Smoke the serving frontend: ``--requests`` requests, one after
+    another, then throughput and latency percentiles from its metrics."""
+    import time
+
     from repro.ir import make_inputs
     from repro.serving import ServingConfig, TenantRegistry
 
-    if args.model:
-        graph = build_model(args.model, tiny=args.tiny)
-    else:
-        graph = elementwise_chain()
-    tenants = None
-    if args.tenants:
-        try:
-            tenants = TenantRegistry.from_file(args.tenants)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    graph = build_model(args.model, tiny=args.tiny)
+    tenants = TenantRegistry.from_file(args.tenants) if args.tenants else None
+    names = tenants.names if tenants else (None,)
     engine = DuetEngine(machine=_machine_from_args(args), backend=args.backend)
-    config = ServingConfig(
-        queue_capacity=args.queue_capacity,
-        admission=args.admission,
-        pool_size=args.pool_size,
-        batching=not args.no_batching,
-        max_batch_size=args.max_batch,
-        max_linger_s=args.linger_ms * 1e-3,
-        tenants=tenants,
-    )
     feeds = make_inputs(graph)
-    # One scoreboard per tenant, or one (anonymous traffic) for the run.
-    boards = tenant_scoreboards(tenants) if tenants else {None: Scoreboard()}
-    names = tuple(boards)
-    with engine.serve(graph, config=config) as frontend:
-        info = frontend.lane_info()
-        print(
-            f"serving {graph.name}: batching "
-            f"{'on' if config.batching else 'off'}, stacked execution "
-            f"{'on' if info['stackable'] else 'off (' + info['stack_reason'] + ')'}"
-        )
-        if tenants:
-            classes = ", ".join(
-                f"{cfg.name}={cfg.priority} (weight {cfg.weight:g})"
-                for cfg in tenants
-            )
-            print(f"tenants (round-robin traffic): {classes}")
-        frontend.request(feeds)  # warm-up: weights + arena, paid once
-        run = run_closed_loop(
-            lambda i, client: frontend.submit(
-                feeds, tenant=names[i % len(names)]
-            ),
-            [Client()] * args.concurrency,
-            lambda i, client: boards[names[i % len(names)]],
-            n_requests=args.requests,
-        )
-        for board in boards.values():
-            board.duration_s = run.wall_time_s
-        total = Scoreboard(
-            duration_s=run.wall_time_s,
-            counts={
-                o: sum(b.counts[o] for b in boards.values()) for o in OUTCOMES
-            },
-        )
-        outcomes = [f"{o} {n}" for o, n in total.counts.items() if n]
-        if run.unaccounted:
-            outcomes.append(f"unaccounted {run.unaccounted}")
-        print(
-            f"{total.submitted + run.unaccounted} requests, "
-            f"{args.concurrency} clients: {total.throughput_rps:.0f} req/s "
-            f"({', '.join(outcomes)})"
-        )
+    with engine.serve(graph, config=ServingConfig(tenants=tenants)) as frontend:
+        began = time.perf_counter()
+        for i in range(args.requests):
+            frontend.request(feeds, tenant=names[i % len(names)])
+        elapsed = time.perf_counter() - began
         hist = frontend.registry.histogram(
             "duet_request_latency_seconds"
         ).merged()
-        batches = frontend.registry.counter("duet_batches_total")
+        batches = frontend.registry.counter("duet_batches_total").total()
+        print(
+            f"{args.requests} requests to {graph.name}: "
+            f"{args.requests / elapsed:.0f} req/s"
+        )
         quantiles = {q: hist.quantile_estimate(q) for q in (0.5, 0.95, 0.99)}
         print(
             "latency "
@@ -286,58 +203,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 for q, (value, overflowed) in quantiles.items()
             )
         )
-        if any(overflowed for _, overflowed in quantiles.values()):
-            print(
-                f"warning: {hist.overflow_count} of {hist.count} "
-                "observations exceeded the largest histogram bucket "
-                f"({hist.bounds[-1] * 1e3:.0f} ms); clamped quantiles are "
-                "lower bounds, not estimates",
-                file=sys.stderr,
-            )
-        print(f"batches executed: {batches.total():.0f}")
-        if tenants:
-            record_preemptions(boards, frontend, info["model"])
-            print()
-            print(
-                format_table(
-                    [board.to_row() for board in boards.values()],
-                    title="per-tenant scoreboard",
-                    columns=TENANT_COLUMNS,
-                )
-            )
+        print(f"batches executed: {batches:.0f}")
         if args.metrics:
             print()
             print(frontend.render_metrics(), end="")
-    # Refusals are answers; only a request with no answer fails the run.
-    return 1 if run.unaccounted else 0
-
-
-def _cmd_chaos_serve(args: argparse.Namespace) -> int:
-    """Scripted fault schedule against the serving frontend, with the
-    resilience invariants checked."""
-    from repro.bench import default_chaos_schedule, run_chaos_serve
-
-    report = run_chaos_serve(
-        schedule=default_chaos_schedule(phase_s=args.phase_seconds),
-        recovery_threshold=args.recovery_threshold,
-    )
-    return _finish(
-        args, report.render(), report.to_json, report.ok, report.metrics_text
-    )
-
-
-def _cmd_slo_bench(args: argparse.Namespace) -> int:
-    """Mixed-priority SLO benchmark: critical latency vs best-effort
-    throughput, with the two-sided scheduling invariants checked."""
-    from repro.bench import run_slo_mix
-
-    report = run_slo_mix(
-        duration_s=args.duration_seconds,
-        be_threshold=args.best_effort_threshold,
-    )
-    return _finish(
-        args, report.render(), report.to_json, report.ok, report.metrics_text
-    )
+    return 0
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
@@ -372,12 +242,18 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         title="Scheduler tournament (lazy vs. overlapped transfers)",
         columns=LEAGUE_COLUMNS,
     )
-    return _finish(
-        args,
+    text = (
         f"{table}\nleague winners — lazy: {winners['lazy']}, "
-        f"overlapped: {winners['overlapped']}",
-        lambda: {"rows": rows, "winners": winners},
+        f"overlapped: {winners['overlapped']}"
     )
+    print(text)
+    if args.output:
+        if args.output.endswith(".json"):
+            text = json.dumps({"rows": rows, "winners": winners}, indent=2)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"report written to {args.output}")
+    return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -447,10 +323,6 @@ _MESH = _arg(
     "examples/mesh.json) instead of the default CPU+GPU machine",
 )
 _SEED = _arg("--seed", type=int, default=0, help="random seed")
-_METRICS = _arg(
-    "--metrics", action="store_true",
-    help="also print the Prometheus-style metrics exposition",
-)
 _OUTPUT = _arg(
     "--output", default=None, metavar="FILE",
     help="also write the report to FILE (as JSON when it ends in .json)",
@@ -501,81 +373,24 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
     ),
     "serve": (
         _cmd_serve,
-        "drive the multi-tenant serving frontend with closed-loop load", (
-            _but(
-                _MODEL, nargs="?",
-                help="zoo model to serve (default: a stack-safe elementwise chain)",
-            ),
+        "send requests one after another through the serving frontend", (
+            _but(_MODEL, help="zoo model to serve"),
             _TINY,
             _arg(
                 "--requests", type=int, default=200, metavar="N",
                 help="number of requests to serve",
             ),
-            _arg(
-                "--concurrency", type=int, default=8, metavar="K",
-                help="closed-loop client threads",
-            ),
-            _arg("--max-batch", type=int, default=8, help="dynamic batch size cap"),
-            _arg(
-                "--linger-ms", type=float, default=2.0,
-                help="max time a batch window waits for company",
-            ),
-            _arg("--pool-size", type=int, default=1, help="worker sessions per model"),
-            _arg(
-                "--queue-capacity", type=int, default=64,
-                help="bound of the admission queue",
-            ),
-            _arg(
-                "--admission", choices=("block", "reject"), default="block",
-                help="backpressure mode when the queue is full",
-            ),
-            _arg(
-                "--no-batching", action="store_true",
-                help="serve every request as its own dispatch",
-            ),
-            _METRICS,
-            _MESH,
             _BACKEND,
+            _MESH,
             _arg(
                 "--tenants", default=None, metavar="FILE",
-                help="tenants JSON file (see examples/tenants.json); traffic is "
-                "spread round-robin across the registered tenants and a "
-                "per-tenant scoreboard is printed",
-            ),
-        ),
-    ),
-    "chaos-serve": (
-        _cmd_chaos_serve,
-        "scripted fault schedule against the serving frontend "
-        "(transients -> stalls -> device loss -> recovery), invariants on", (
-            _arg(
-                "--phase-seconds", type=float, default=1.0, metavar="S",
-                help="duration of each fault phase",
+                help="tenants JSON file (see examples/tenants.json); requests "
+                "go round-robin across the registered tenants",
             ),
             _arg(
-                "--recovery-threshold", type=float, default=0.8,
-                help="required post-recovery throughput as a fraction of baseline",
+                "--metrics", action="store_true",
+                help="also print the Prometheus-style metrics exposition",
             ),
-            _METRICS,
-            _OUTPUT,
-        ),
-    ),
-    "slo-bench": (
-        _cmd_slo_bench,
-        "mixed-priority SLO benchmark: a paced critical tenant vs a "
-        "best-effort flood, two-sided invariants checked", (
-            _arg(
-                "--duration-seconds", type=float, default=2.0, metavar="S",
-                help="length of each leg (isolated baseline, then the mix)",
-            ),
-            _arg(
-                "--best-effort-threshold", type=float, default=0.7,
-                help="required best-effort throughput as a fraction of its "
-                "isolated baseline",
-            ),
-            _METRICS,
-            _arg("--json", action="store_true", help="also print the report as JSON"),
-            _OUTPUT,
         ),
     ),
     "tournament": (

@@ -112,6 +112,16 @@ DEFAULT_TENANT = TenantConfig(name="default")
 _DURATION_FIELDS = ("slo_p99", "default_deadline")
 
 
+def _number(entry: dict, key: str, where: str) -> float:
+    """``entry[key]`` as a float; only a JSON number is accepted."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExecutionError(
+            f"{where}: {key} must be a number, got {value!r}"
+        )
+    return float(value)
+
+
 def _parse_duration(entry: dict, base: str, where: str) -> float | None:
     """Accept ``<base>_s`` (seconds) or ``<base>_ms`` (milliseconds)."""
     has_s, has_ms = f"{base}_s" in entry, f"{base}_ms" in entry
@@ -120,9 +130,9 @@ def _parse_duration(entry: dict, base: str, where: str) -> float | None:
             f"{where}: give {base}_s or {base}_ms, not both"
         )
     if has_s:
-        return float(entry[f"{base}_s"])
+        return _number(entry, f"{base}_s", where)
     if has_ms:
-        return float(entry[f"{base}_ms"]) * 1e-3
+        return _number(entry, f"{base}_ms", where) * 1e-3
     return None
 
 
@@ -228,7 +238,10 @@ class TenantRegistry:
                 TenantConfig(
                     name=name,
                     priority=entry.get("priority", "standard"),
-                    weight=float(entry.get("weight", 1.0)),
+                    weight=(
+                        _number(entry, "weight", where)
+                        if "weight" in entry else 1.0
+                    ),
                     slo_p99_s=_parse_duration(entry, "slo_p99", where),
                     default_deadline_s=_parse_duration(
                         entry, "default_deadline", where

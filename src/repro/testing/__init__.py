@@ -1,4 +1,5 @@
-"""Conformance tooling: graph fuzzer, differential oracle, invariants.
+"""Conformance tooling: graph fuzzer, differential oracle, invariants,
+and the serving test subjects.
 
 This package is shipped library code, not test scaffolding: the pytest
 suites, the ``python -m repro fuzz`` CLI, the CI smoke job, and the
@@ -29,6 +30,7 @@ from repro.testing.oracle import (
     ExecutorOutcome,
     run_differential,
 )
+from repro.testing.subjects import elementwise_chain, mixed_serving_opt
 from repro.testing.fuzz import (
     FuzzFailure,
     FuzzReport,
@@ -60,4 +62,6 @@ __all__ = [
     "load_artifact",
     "replay_case",
     "run_campaign",
+    "elementwise_chain",
+    "mixed_serving_opt",
 ]

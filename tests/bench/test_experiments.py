@@ -1,5 +1,9 @@
 """Tests for the experiment drivers: shapes of every figure/table."""
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro.bench import (
@@ -16,6 +20,24 @@ from repro.bench import (
     table2_breakdown,
     table3_resnet,
 )
+from repro.devices import default_machine
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def _load_bench(name):
+    """Import a benchmark module from the benchmarks/ directory."""
+    # Benchmarks import their sibling conftest for emit().
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            name, BENCH_DIR / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path.remove(str(BENCH_DIR))
 
 
 class TestFig04:
@@ -198,3 +220,10 @@ class TestTables:
                 if r["model"] == model and r["system"] == "DUET"
             )
             assert duet_row["fallback"] == "gpu"
+
+
+class TestBenchSmoke:
+    def test_ext_throughput_bench_runs_at_trivial_scale(self):
+        bench = _load_bench("bench_ext_throughput")
+        rows = bench._run(default_machine(noisy=False))
+        assert {r["system"] for r in rows} == {"TVM-CPU", "TVM-GPU", "DUET"}

@@ -23,7 +23,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.bench import elementwise_chain
 from repro.core import DuetEngine
 from repro.errors import ExecutionError
 from repro.ir import GraphBuilder, make_inputs
@@ -38,7 +37,12 @@ from repro.serving import (
     collect_batch,
     run_stacked,
 )
-from repro.testing import GeneratorConfig, case_rng, generate_graph
+from repro.testing import (
+    GeneratorConfig,
+    case_rng,
+    elementwise_chain,
+    generate_graph,
+)
 
 #: Generator families whose ops are all stack-safe (no GEMM, no slicing).
 STACK_SAFE_FAMILIES = {"unary": 1.0, "binary": 1.0, "reduction": 0.5}

@@ -35,6 +35,7 @@ from repro.serving import (
     SlotHealth,
     TenantAwareShedder,
 )
+from repro.testing import mixed_serving_opt
 
 
 class TestSlotHealth:
@@ -146,8 +147,6 @@ class TestAdaptiveShedder:
 
 def _mixed_setup():
     """A both-device optimization, seeded inputs, and solo reference."""
-    from repro.bench.chaos import mixed_serving_opt
-
     graph = build_model("siamese", tiny=True)
     engine = DuetEngine(machine=default_machine(noisy=False))
     opt = mixed_serving_opt(engine, graph)
@@ -191,6 +190,9 @@ class TestDeviceLossRecovery:
             assert slot.health.degraded_device == "cpu"
             assert lane.slot_quarantines.value(model="m") == 1
             assert lane.slot_rebuilds.value(model="m", kind="degraded") == 1
+            exposition = frontend.render_metrics()
+            assert "duet_slot_quarantines_total" in exposition
+            assert 'duet_slot_rebuilds_total{kind="degraded"' in exposition
 
             # Degraded-but-correct: follow-ups keep serving from the CPU.
             for _ in range(3):
@@ -211,6 +213,35 @@ class TestDeviceLossRecovery:
             assert frontend.lane_info("m")["lost_devices"] == []
             result = frontend.request(feeds, model="m", timeout_s=30.0)
             assert _identical(result.outputs, want)
+
+    def test_requests_in_flight_across_a_loss_settle_exactly_once(self):
+        engine, opt, feeds, want = _mixed_setup()
+        injector = ScriptedChaosInjector()
+        # Every task attempt stalls, so requests queue behind the first.
+        injector.set_mode("stall", rate=1, stall_s=5e-3)
+        config = ServingConfig(pool_size=1, batching=False, shedding=False)
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            futures = [frontend.submit(feeds, model="m") for _ in range(8)]
+            futures[0].result(timeout_s=30.0)
+            injector.lose_device("gpu")
+            queued = [i for i, fut in enumerate(futures) if not fut.dequeued_at]
+            settled = []
+            for fut in futures:
+                try:
+                    settled.append(fut.result(timeout_s=30.0).outputs)
+                except ReproError as exc:
+                    settled.append(exc)
+            assert all(fut.done() for fut in futures)
+            ok = [i for i, out in enumerate(settled) if not isinstance(out, ReproError)]
+            assert all(_identical(settled[i], want) for i in ok)
+            assert set(queued) & set(ok), (queued, settled)
+            counted = frontend._lanes["m"].requests_total
+            assert sum(
+                counted.value(model="m", outcome=outcome)
+                for outcome in ("ok", "error", "rejected", "shed", "expired")
+            ) == len(futures)
 
     def test_no_survivor_fails_requests_without_hanging(self):
         engine, opt, feeds, _ = _mixed_setup()

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench import elementwise_chain
 from repro.core import DuetEngine
 from repro.devices import default_machine
 from repro.errors import (
@@ -38,6 +37,7 @@ from repro.serving import (
     parse_exposition,
     validate_buckets,
 )
+from repro.testing import elementwise_chain
 
 
 class TestBucketValidation:

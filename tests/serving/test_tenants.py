@@ -175,6 +175,14 @@ class TestTenantsJson:
                 '[{"name": "a", "slo_p99_s": 1, "slo_p99_ms": 5}]',
                 "not both",
             ),
+            ('[{"name": "a", "weight": "heavy"}]', "'a': weight must be a number"),
+            ('[{"name": "a", "weight": null}]', "'a': weight must be a number"),
+            ('[{"name": "a", "weight": true}]', "'a': weight must be a number"),
+            ('[{"name": "a", "slo_p99_ms": "x"}]', "'a': slo_p99_ms must be a number"),
+            (
+                '[{"name": "a", "default_deadline_s": false}]',
+                "'a': default_deadline_s must be a number",
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, text, match):

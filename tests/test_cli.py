@@ -86,72 +86,45 @@ class TestCLI:
                      "--policies", "alphazero"]) == 1
         assert "unknown" in capsys.readouterr().err
 
-    def test_chaos_serve_smoke(self, capsys, tmp_path):
-        artifact = tmp_path / "chaos.txt"
-        assert main([
-            "chaos-serve", "--phase-seconds", "0.3",
-            "--recovery-threshold", "0.25", "--metrics",
-            "--output", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "chaos-serve phase scoreboard" in out
-        assert "recovery throughput" in out
-        assert "duet_requests_total" in out
-        written = artifact.read_text(encoding="utf-8")
-        for phase in ("baseline", "transient", "stall", "outage", "recovery"):
-            assert phase in written
-
-
     def test_serve_smoke(self, capsys):
-        assert main(["serve", "--requests", "20"]) == 0
+        assert main(["serve", "mtdnn", "--tiny", "--requests", "5"]) == 0
         out = capsys.readouterr().out
-        assert "20 requests, 8 clients" in out and "(ok 20)" in out
-        assert "latency p50" in out and "batches executed" in out
+        assert "5 requests to mtdnn" in out and "p50" in out
 
-    def test_serve_names_each_outcome_of_refused_requests(self, capsys):
-        # A full queue under --admission reject is an answer, not a
-        # failure: the refusals are counted by name and the run exits 0.
+    def test_serve_mesh_smoke(self, capsys):
         assert main([
-            "serve", "--requests", "20", "--concurrency", "4",
-            "--admission", "reject", "--queue-capacity", "1",
+            "serve", "mtdnn", "--tiny", "--requests", "5",
+            "--mesh", str(REPO / "examples" / "mesh.json"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "20 requests, 4 clients" in out
-        assert "rejected" in out and "errors" not in out
+        assert "5 requests to mtdnn" in out and "p50" in out
 
-    def test_serve_tenants_prints_per_tenant_rows(self, capsys):
+    def test_serve_tenants_metrics(self, capsys):
         assert main([
-            "serve", "wide_deep", "--tiny", "--requests", "30",
-            "--tenants", str(REPO / "examples" / "tenants.json"),
+            "serve", "wide_deep", "--tiny", "--requests", "6",
+            "--tenants", str(REPO / "examples" / "tenants.json"), "--metrics",
         ]) == 0
         out = capsys.readouterr().out
-        table = out[out.index("per-tenant scoreboard"):]
         for tenant in ("search", "ads", "batch_etl"):
-            assert tenant in table
-        assert "preempted" in table and "misses" in table
+            assert (
+                'duet_tenant_requests_total{model="default",outcome="ok",'
+                f'tenant="{tenant}"}} 2'
+            ) in out
 
-    def test_slo_bench_smoke(self, capsys, tmp_path):
-        artifact = tmp_path / "slo.json"
-        code = main([
-            "slo-bench", "--duration-seconds", "0.5",
-            "--best-effort-threshold", "0", "--output", str(artifact),
-        ])
-        # A half-second leg may legitimately see no preemption.
-        assert code in (0, 1)
-        assert "slo-mix tenant scoreboard" in capsys.readouterr().out
-        doc = json.loads(artifact.read_text(encoding="utf-8"))
-        assert {row["tenant"] for row in doc["tenants"]} == {
-            "critical", "best_effort",
-        }
-        assert doc["ok"] == (code == 0)
-        assert bool(doc["failures"]) == (code == 1)
+    def test_serve_bad_tenants_file_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "tenants.json"
+        bad.write_text('[{"name": "a", "weight": "heavy"}]')
+        assert main(["serve", "mtdnn", "--tiny", "--tenants", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCommandTable:
     def test_every_command_builds_and_parses_its_defaults(self):
         parser = build_parser()
-        required = {"info": ["vgg"], "print": ["vgg"], "bench": ["fig13"]}
-        assert len(_COMMANDS) == 11
+        required = {
+            "info": ["vgg"], "print": ["vgg"], "bench": ["fig13"], "serve": ["vgg"],
+        }
+        assert len(_COMMANDS) == 9
         for name, (run, _help, _arguments) in _COMMANDS.items():
             args = parser.parse_args([name, *required.get(name, [])])
             assert args.fn is run
