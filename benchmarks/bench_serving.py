@@ -37,8 +37,8 @@ from repro.devices import default_machine
 from repro.errors import ReproError
 from repro.ir import make_inputs
 from repro.models import build_model
+from repro.runtime import RetryPolicy
 from repro.runtime.faults import ScriptedChaosInjector
-from repro.runtime.resilient import RetryPolicy
 from repro.runtime.session import EngineSession
 from repro.serving import (
     BreakerConfig,

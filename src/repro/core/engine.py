@@ -23,14 +23,8 @@ from repro.core.scheduler import GreedyCorrectionScheduler, ScheduleResult
 from repro.devices.machine import Machine, default_machine
 from repro.ir.graph import Graph
 from repro.errors import ProfilingError
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.measurement import LatencyStats, measure_latency_batch
 from repro.runtime.plan import HeteroPlan, single_device_plan
-from repro.runtime.resilient import (
-    ExecutionReport,
-    ResilienceConfig,
-    ResilientExecutor,
-)
 from repro.runtime.session import EngineSession
 from repro.runtime.simulator import ExecutionResult, simulate, simulate_batch
 
@@ -53,10 +47,9 @@ class DuetOptimization:
         single_device_latency: mean latency of the best single device.
         degradation_plans: device -> standing single-device plan built
             from the whole-model modules the fallback comparison already
-            compiles (§VI-E).  The resilient executor restarts on the
-            survivor's plan when the other device is lost before any
-            subgraph completed, and callers should serve follow-up
-            requests from it after any failover.
+            compiles (§VI-E).  A serving lane that loses a device
+            rebuilds its slot on the survivor's plan
+            (:func:`~repro.runtime.plan.survivor_plan`).
     """
 
     graph: Graph
@@ -343,52 +336,6 @@ class DuetEngine:
         return ServingFrontend(
             self, models, config=config, registry=registry, **kwargs
         )
-
-    def run_resilient(
-        self,
-        opt: DuetOptimization,
-        inputs: Mapping[str, np.ndarray],
-        config: ResilienceConfig | None = None,
-        faults: FaultPlan | FaultInjector | None = None,
-    ) -> ExecutionReport:
-        """Execute one inference on the fault-tolerant threaded path.
-
-        Runs ``opt.plan`` under :class:`~repro.runtime.resilient.
-        ResilientExecutor`: transient faults are retried with backoff,
-        deadlines enforced, and a permanent device loss fails the
-        remaining work over to the survivor — using ``opt``'s standing
-        single-device degradation plans when the loss strikes before any
-        subgraph completed.
-
-        Args:
-            opt: an optimization from :meth:`optimize`.
-            inputs: model input tensors (external input name -> array).
-            config: retry/deadline/failover knobs; defaults to
-                :class:`~repro.runtime.resilient.ResilienceConfig`.
-            faults: optional chaos to inject — a declarative
-                :class:`~repro.runtime.faults.FaultPlan` or a prepared
-                :class:`~repro.runtime.faults.FaultInjector`.
-
-        Returns:
-            An :class:`~repro.runtime.resilient.ExecutionReport` with the
-            outputs plus the structured fault/retry/failover event log.
-            Terminal failures raise an
-            :class:`~repro.errors.ExecutionError` subclass carrying the
-            partial report as ``exc.report``.
-        """
-        if isinstance(faults, FaultInjector):
-            injector = faults
-        elif faults is not None:
-            injector = FaultInjector(faults)
-        else:
-            injector = None
-        executor = ResilientExecutor(
-            opt.plan,
-            config=config,
-            fault_injector=injector,
-            degradation_plans=opt.degradation_plans,
-        )
-        return executor.run(inputs)
 
     def latency_stats(
         self,

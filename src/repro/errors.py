@@ -56,9 +56,10 @@ class ExecutionError(ReproError):
 class TransientKernelError(ExecutionError):
     """A kernel failed in a way that is expected to succeed on retry.
 
-    Raised by the fault injector (and retryable by the resilient
-    executor); a real deployment would map driver-level soft errors —
-    ECC hiccups, launch timeouts, spurious OOM — onto this class.
+    Raised by the fault injector (and retried by the retry middleware a
+    serving lane installs); a real deployment would map driver-level soft
+    errors — ECC hiccups, launch timeouts, spurious OOM — onto this
+    class.
     """
 
 
@@ -70,8 +71,8 @@ class DeviceLostError(ExecutionError):
     """A device disappeared permanently (fell off the bus, driver reset).
 
     Unlike :class:`TransientKernelError` this is *not* retryable on the
-    same device; the resilient executor reacts by failing over the dead
-    device's remaining work to the survivor.
+    same device; a serving lane reacts by rebuilding the slot on a
+    survivor's standing degradation plan.
 
     Attributes:
         device: placement name of the lost device (``"cpu"``/``"gpu"``

@@ -1,17 +1,15 @@
 """Runtime: plans, the unified dispatch core, executors, faults, sessions."""
 
 from repro.runtime.core import (
-    AbortPolicy,
     CoreResult,
     DispatchKernel,
     ExecutionEvent,
-    FailoverPolicy,
     FaultInjectionMiddleware,
     InlineWorkers,
     InvariantMiddleware,
     MetricsMiddleware,
     RetryMiddleware,
-    TaskDeadlineMiddleware,
+    RetryPolicy,
     ThreadedWorkers,
     TracingMiddleware,
     TransferGuardMiddleware,
@@ -28,12 +26,6 @@ from repro.runtime.measurement import (
     LatencyStats,
     measure_latency,
     measure_latency_batch,
-)
-from repro.runtime.resilient import (
-    ExecutionReport,
-    ResilienceConfig,
-    ResilientExecutor,
-    RetryPolicy,
 )
 from repro.runtime.memory import (
     DeviceMemory,
@@ -56,15 +48,12 @@ from repro.runtime.simulator import (
 from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = [
-    "AbortPolicy",
     "CoreResult",
     "DeviceLoss",
     "DispatchKernel",
     "EngineSession",
     "ExecutionEvent",
-    "ExecutionReport",
     "ExecutionResult",
-    "FailoverPolicy",
     "FaultInjectionMiddleware",
     "FaultInjector",
     "FaultPlan",
@@ -72,12 +61,9 @@ __all__ = [
     "InvariantMiddleware",
     "KernelFault",
     "MetricsMiddleware",
-    "ResilienceConfig",
-    "ResilientExecutor",
     "RetryMiddleware",
     "RetryPolicy",
     "StallFault",
-    "TaskDeadlineMiddleware",
     "ThreadedWorkers",
     "TracingMiddleware",
     "TransferFault",

@@ -17,24 +17,23 @@ public execution path be a thin parameterization of it:
   :class:`~repro.runtime.session.EngineSession`.
 * **Policy middleware** — small objects wrapping one task *attempt*
   (``middleware(ctx, call_next)``), composed outermost-first:
-  :class:`RetryMiddleware` (backoff + seeded jitter),
-  :class:`TaskDeadlineMiddleware`, :class:`TracingMiddleware` (structured
+  :class:`RetryMiddleware` (backoff + seeded jitter under a
+  :class:`RetryPolicy`), :class:`TracingMiddleware` (structured
   :class:`ExecutionEvent` stream), :class:`FaultInjectionMiddleware`
   (deterministic chaos hooks), :class:`TransferGuardMiddleware`
   (non-finite corruption detection on cross-device tensors), and
   :class:`InvariantMiddleware` (``REPRO_VALIDATE``-style output
   shape/dtype checks).
-* **Failure policies** — :class:`AbortPolicy` reproduces the plain
-  threaded executor's semantics (collect every worker failure, drain,
-  raise); :class:`FailoverPolicy` reproduces the resilient executor's
-  device-loss handling (migrate queued work to the survivor, or signal a
-  restart on a standing degradation plan).
+
+A failed threaded dispatch aborts: every worker failure lands in one
+:class:`~repro.errors.ExecutionError`.  Recovery from faults belongs to
+the serving lane (:mod:`repro.serving.frontend`), which retries through
+:class:`RetryMiddleware` and rebuilds a slot on a survivor's standing
+plan after a device loss.
 
 Every wall-clock run returns one record, :class:`CoreResult`.  The entry
 points that remain each add one thing to :class:`DispatchKernel`:
-:class:`~repro.runtime.threaded.ThreadedExecutor` (threaded workers,
-abort on failure), :class:`~repro.runtime.resilient.ResilientExecutor`
-(retry + failover, restart on a degradation plan, the recovery log),
+:class:`~repro.runtime.threaded.ThreadedExecutor` (threaded workers),
 :class:`~repro.runtime.session.EngineSession` (an arena, caller-owned
 outputs) and :func:`~repro.runtime.simulator.simulate` (a virtual clock
 beside the inline outputs).
@@ -42,6 +41,7 @@ beside the inline outputs).
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -51,20 +51,18 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import (
-    DeadlineExceededError,
     DeviceLostError,
     ExecutionError,
     InvariantViolation,
     TransferError,
 )
-from repro.runtime.plan import HeteroPlan, TaskSpec
+from repro.runtime.plan import DEVICES, HeteroPlan, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
     from repro.runtime.faults import FaultInjector
     from repro.runtime.memory import TensorArena
 
 __all__ = [
-    "DEVICES",
     "plan_worker_devices",
     "ExecutionEvent",
     "TaskContext",
@@ -73,11 +71,8 @@ __all__ = [
     "build_attempt_stack",
     "InlineWorkers",
     "ThreadedWorkers",
-    "AbortPolicy",
-    "FailoverPolicy",
-    "RestartOnSurvivor",
+    "RetryPolicy",
     "RetryMiddleware",
-    "TaskDeadlineMiddleware",
     "TracingMiddleware",
     "MetricsMiddleware",
     "FaultInjectionMiddleware",
@@ -87,17 +82,12 @@ __all__ = [
     "PhaseCheckpoint",
 ]
 
-#: The default machine's device workers: any plan placed entirely on
-#: these devices is dispatched across exactly this pair, preserving the
-#: historical worker set (and thread names) even for single-device plans.
-DEVICES = ("cpu", "gpu")
-
-
 def plan_worker_devices(plan: HeteroPlan) -> tuple[str, ...]:
     """The worker device set a plan is dispatched across.
 
     Plans placed entirely on the default machine keep the canonical
-    ``("cpu", "gpu")`` pair; mesh plans get one worker per device the
+    :data:`~repro.runtime.plan.DEVICES` pair (and its thread names), even
+    single-device ones; mesh plans get one worker per device the
     plan actually uses, canonical devices first then the rest sorted.
     """
     devs = {t.device for t in plan.tasks}
@@ -111,12 +101,9 @@ def plan_worker_devices(plan: HeteroPlan) -> tuple[str, ...]:
 class ExecutionEvent:
     """One entry of the structured runtime event log.
 
-    Shared by the tracing middleware and the resilience event log.
-    ``kind`` is one of ``"task-start"``, ``"task-finish"``,
-    ``"task-error"`` (tracing); ``"fault"``, ``"backoff"``, ``"retry"``,
-    ``"giveup"``, ``"task-deadline"`` (retry middleware); ``"deadline"``,
-    ``"device-lost"``, ``"failover-migrate"``, ``"failover-restart"``
-    (failover policy).
+    Shared by the tracing and retry middleware.  ``kind`` is one of
+    ``"task-start"``, ``"task-finish"``, ``"task-error"`` (tracing);
+    ``"fault"``, ``"backoff"``, ``"retry"``, ``"giveup"`` (retry).
     """
 
     kind: str
@@ -133,8 +120,7 @@ class TaskContext:
 
     Attributes:
         task: the task being executed.
-        device: the worker actually executing it (may differ from
-            ``task.device`` after a failover migration).
+        device: the device worker executing it.
         attempt: 1-based attempt number (maintained by the retry
             middleware; 1 when no retry middleware is installed).
         feeds: resolved input tensors (set by the resolve stage).
@@ -154,8 +140,8 @@ class DispatchState:
     """Shared readiness/completion state of one dispatch, behind one lock.
 
     Tracks remaining dependency counts, the dependents to trigger on each
-    completion, produced values, actual task→worker placements,
-    completion order, lost devices, and worker-side errors.
+    completion, produced values, task→worker placements, completion
+    order, and worker-side errors.
     """
 
     def __init__(self, plan: HeteroPlan, template: "_DependencyTemplate | None" = None):
@@ -164,7 +150,6 @@ class DispatchState:
         self.task_worker: dict[str, str] = {}
         self.task_order: list[str] = []
         self.errors: list[BaseException] = []
-        self.lost: set[str] = set()
         template = template or _DependencyTemplate(plan)
         self.remaining_deps = dict(template.remaining_deps)
         self.dependents = template.dependents
@@ -193,8 +178,7 @@ class _DependencyTemplate:
 
 @dataclass
 class CoreResult:
-    """Outcome of one wall-clock run, the record every executor returns
-    (:class:`~repro.runtime.resilient.ExecutionReport` extends it).
+    """Outcome of one wall-clock run, the record every executor returns.
 
     ``wall_time_s`` of an inline run counts active execution segments
     only; ``preemptions`` is how many times the run was suspended at a
@@ -344,14 +328,6 @@ def _bind(mw: Middleware, nxt: Callable[[TaskContext], None]):
     return call
 
 
-class _AttemptDeadline(Exception):
-    """Internal: one task attempt overran its per-attempt budget."""
-
-    def __init__(self, elapsed: float, budget: float):
-        super().__init__(f"attempt took {elapsed:.4f}s > budget {budget:.4f}s")
-        self.elapsed = elapsed
-
-
 class _GiveUp(Exception):
     """Internal: the retry middleware exhausted its attempts."""
 
@@ -394,25 +370,6 @@ class TransferGuardMiddleware:
                     f"{input_id!r} of task {ctx.task.task_id!r}"
                 )
         call_next(ctx)
-
-
-class TaskDeadlineMiddleware:
-    """Bounds one task *attempt* to ``budget_s`` wall-clock seconds.
-
-    An attempt that overruns raises before commit, so its results are
-    discarded; under the retry middleware the overrun is a retryable
-    fault (surfacing as a ``"task-deadline"`` event).
-    """
-
-    def __init__(self, budget_s: float):
-        self.budget_s = budget_s
-
-    def __call__(self, ctx: TaskContext, call_next) -> None:
-        began = time.perf_counter()
-        call_next(ctx)
-        elapsed = time.perf_counter() - began
-        if elapsed > self.budget_s:
-            raise _AttemptDeadline(elapsed, self.budget_s)
 
 
 class TracingMiddleware:
@@ -557,23 +514,60 @@ class InvariantMiddleware:
             raise InvariantViolation(violations)
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential backoff with jitter for transient per-task faults.
+
+    Attempt *n* (1-based) that fails sleeps
+    ``backoff_base_s * backoff_multiplier**(n-1)``, scaled by a uniform
+    jitter in ``[1-jitter, 1+jitter]`` drawn from the retry middleware's
+    seeded generator, before attempt *n+1*.  The base and multiplier
+    must be finite and non-negative, so every delay is a valid sleep.
+    """
+
+    max_attempts: int = 3
+    backoff_base_s: float = 0.001
+    backoff_multiplier: float = 2.0
+    jitter: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ExecutionError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+        for name in ("backoff_base_s", "backoff_multiplier"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ExecutionError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
+        if not 0.0 <= self.jitter < 1.0:
+            raise ExecutionError(f"jitter must be in [0, 1), got {self.jitter}")
+
+    def backoff_s(self, attempt: int, rng: np.random.Generator) -> float:
+        """Sleep before the retry following failed attempt ``attempt``."""
+        delay = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
+        if self.jitter:
+            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        return delay
+
+
 class RetryMiddleware:
     """Per-task retry with exponential backoff and seeded jitter.
 
     Retryable faults are the :class:`~repro.errors.ExecutionError`
     hierarchy (transient kernel errors, transfer failures, corruption
-    caught by the guard) plus per-attempt deadline overruns;
-    :class:`~repro.errors.DeviceLostError` is never retried on the same
-    device, and non-runtime exceptions (a genuine bug in a kernel) fail
-    immediately instead of burning retries.
+    caught by the guard); :class:`~repro.errors.DeviceLostError` is never
+    retried on the same device, and non-runtime exceptions (a genuine
+    bug in a kernel) fail immediately instead of burning retries.
 
-    Emits ``fault`` / ``backoff`` / ``retry`` / ``giveup`` /
-    ``task-deadline`` events to ``events`` and bumps ``counters``.
+    Emits ``fault`` / ``backoff`` / ``retry`` / ``giveup`` events to
+    ``events`` and bumps ``counters``.
     """
 
     def __init__(
         self,
-        policy,  # RetryPolicy (typed loosely to avoid an import cycle)
+        policy: RetryPolicy,
         events: list[ExecutionEvent],
         counters: dict[str, int],
         rngs: Mapping[str, np.random.Generator],
@@ -595,18 +589,13 @@ class RetryMiddleware:
                 call_next(ctx)
                 return
             except DeviceLostError:
-                raise  # permanent: the failure policy handles it
-            except _AttemptDeadline as exc:
-                self.counters["task_deadline_misses"] += 1
-                kind, cause = "task-deadline", DeadlineExceededError(
-                    f"task {task_id!r}: {exc}"
-                )
+                raise  # permanent: the serving lane rebuilds the slot
             except ExecutionError as exc:  # transient fault: retryable
                 self.counters["faults"] += 1
-                kind, cause = "fault", exc
+                cause = exc
             self.events.append(
                 ExecutionEvent(
-                    kind=kind,
+                    kind="fault",
                     time_s=self.clock(),
                     task_id=task_id,
                     device=ctx.device,
@@ -677,248 +666,29 @@ class ThreadedWorkers:
     join_timeout: float = 5.0
 
 
-# ----------------------------------------------------------------------
-# Failure policies
-
-
-@dataclass
-class _Message:
-    """Worker -> orchestrator completion notification."""
-
-    kind: str  # "ok" | "fail" | "lost"
-    task: TaskSpec
-    exc: BaseException | None = None
-    attempts: int | None = None
-
-
-class _Controller:
-    """What a failure policy may do to the dispatch while handling a
-    failure: inspect/requeue work, mark devices lost, read the clock."""
-
-    def __init__(self, kernel: "DispatchKernel", state: DispatchState, queues, clock):
-        self.kernel = kernel
-        self.state = state
-        self.queues = queues
-        self.clock = clock
-
-    def drain(self, device: str) -> list[TaskSpec]:
-        """Pull all queued-but-unstarted tasks off one device queue."""
-        moved = []
-        while True:
-            try:
-                task = self.queues[device].get_nowait()
-            except queue.Empty:
-                break
-            if task is not None:
-                moved.append(task)
-        return moved
-
-    def requeue(self, task: TaskSpec, device: str) -> None:
-        self.queues[device].put(task)
-
-
-def _deadline_error(
-    deadline_s: float, n_done: int, n_tasks: int
-) -> DeadlineExceededError:
-    """The end-to-end deadline terminal error, shared by both policies."""
-    return DeadlineExceededError(
-        f"inference exceeded end-to-end deadline of "
-        f"{deadline_s:.4f}s ({n_done}/{n_tasks} tasks done)"
-    )
-
-
-class AbortPolicy:
-    """Plain-threaded failure semantics: any failure aborts the run;
-    every worker failure collected before shutdown lands in one
-    :class:`~repro.errors.ExecutionError` message, chained to the first
-    cause."""
-
-    def on_failure(self, msg: _Message, control: _Controller):
-        """Abort on the first failure; errors are raised in :meth:`finish`."""
-        return ("abort", None)
-
-    def on_deadline(
-        self, deadline_s: float, n_done: int, n_tasks: int, clock
-    ) -> ExecutionError:
-        """Build the end-to-end deadline terminal error."""
-        return _deadline_error(deadline_s, n_done, n_tasks)
-
-    def finish(
-        self, state: DispatchState, stuck: list[str], join_timeout: float
-    ) -> None:
-        """Raise the collected failure(s), naming any wedged workers."""
-        if state.errors:
-            detail = (
-                f" (worker(s) {', '.join(stuck)} still wedged after "
-                f"{join_timeout:.1f}s)"
-                if stuck
-                else ""
-            )
-            raise ExecutionError(
-                _format_failures(state.errors, detail)
-            ) from state.errors[0]
-        if stuck:
-            raise ExecutionError(
-                f"worker thread(s) for device(s) {', '.join(stuck)} did not "
-                f"finish within {join_timeout:.1f}s; a task is wedged"
-            )
-
-
-class RestartOnSurvivor(Exception):
-    """Signal: abandon the hetero run, rerun on the survivor's standing
-    single-device degradation plan.
-
-    Raised out of :meth:`DispatchKernel.run` (after a clean worker
-    shutdown) for the caller — the resilient shim — to catch and act on.
-
-    Attributes:
-        survivor: the still-healthy device.
-        cause: the :class:`~repro.errors.DeviceLostError` that triggered
-            the restart.
-    """
-
-    def __init__(self, survivor: str, cause: DeviceLostError):
-        super().__init__(survivor)
-        self.survivor = survivor
-        self.cause = cause
-
-
-class FailoverPolicy:
-    """Resilient failure semantics: retries already happened in the
-    middleware; terminal task failures abort with a structured message,
-    and device losses fail remaining work over to the survivors — by
-    migrating queued tasks in place (round-robin across survivors in
-    worker order), or by signalling a restart on a standing
-    single-device degradation plan when exactly one device survives and
-    nothing has completed yet."""
-
-    def __init__(
-        self,
-        events: list[ExecutionEvent],
-        counters: dict[str, int],
-        failover: bool = True,
-        restart_devices: frozenset[str] | set[str] = frozenset(),
-        allow_restart: bool = True,
-        devices: Sequence[str] = DEVICES,
-    ):
-        self.events = events
-        self.counters = counters
-        self.failover = failover
-        self.restart_devices = set(restart_devices)
-        self.allow_restart = allow_restart
-        self.devices = tuple(devices)
-        self._next_survivor = 0
-
-    def on_failure(self, msg: _Message, control: _Controller):
-        """Handle one failure message; returns an orchestrator action."""
-        if msg.kind == "fail":
-            if msg.attempts is not None:
-                terminal = ExecutionError(
-                    f"task {msg.task.task_id!r} failed after "
-                    f"{msg.attempts} attempt(s): {msg.exc}"
-                )
-            else:  # non-retryable (outside the ExecutionError hierarchy)
-                terminal = ExecutionError(
-                    f"task {msg.task.task_id!r} failed: {msg.exc}"
-                )
-            return ("abort", terminal)
-        # Device loss.
-        state = control.state
-        exc = msg.exc
-        dead = exc.device
-        with state.lock:
-            newly = dead not in state.lost
-            state.lost.add(dead)
-            survivors = [d for d in self.devices if d not in state.lost]
-            completed_any = bool(state.task_order)
-        if newly:
-            self.counters["device_losses"] += 1
-            self.events.append(
-                ExecutionEvent(
-                    kind="device-lost",
-                    time_s=control.clock(),
-                    task_id=msg.task.task_id,
-                    device=dead,
-                    detail=str(exc),
-                )
-            )
-        if not survivors:
-            return (
-                "abort",
-                ExecutionError(
-                    f"all devices lost (last: {exc}); cannot fail over"
-                ),
-            )
-        if not self.failover:
-            return ("abort", exc)
-        if (
-            self.allow_restart
-            and not completed_any
-            and len(survivors) == 1
-            and survivors[0] in self.restart_devices
-        ):
-            return ("restart", RestartOnSurvivor(survivors[0], exc))
-        if newly:
-            self.counters["failovers"] += 1
-            # Retarget the dead device's queued-but-unstarted work.
-            for moved in control.drain(dead):
-                self._migrate(moved, dead, self._pick(survivors), control)
-        # The task whose attempt observed the loss migrates too.
-        self._migrate(msg.task, dead, self._pick(survivors), control)
-        return None  # continue
-
-    def _pick(self, survivors: list[str]) -> str:
-        """Deterministic round-robin over survivors in worker order (with
-        one survivor — the whole 2-device machine — always that one)."""
-        dest = survivors[self._next_survivor % len(survivors)]
-        self._next_survivor += 1
-        return dest
-
-    def _migrate(
-        self, task: TaskSpec, dead: str, survivor: str, control: _Controller
-    ) -> None:
-        self.counters["migrated_tasks"] += 1
-        self.events.append(
-            ExecutionEvent(
-                kind="failover-migrate",
-                time_s=control.clock(),
-                task_id=task.task_id,
-                device=survivor,
-                detail=f"migrated off lost device {dead!r}",
-            )
+def _abort_error(
+    errors: list[BaseException], stuck: list[str], join_timeout: float
+) -> ExecutionError | None:
+    """The error an aborted threaded run raises, or ``None`` for a clean
+    one: every worker failure (first cause leading) and every wedged
+    worker in one message."""
+    wedged = ", ".join(stuck)
+    if not errors:
+        if not stuck:
+            return None
+        return ExecutionError(
+            f"worker thread(s) for device(s) {wedged} did not finish "
+            f"within {join_timeout:.1f}s; a task is wedged"
         )
-        control.requeue(task, survivor)
-
-    def on_deadline(
-        self, deadline_s: float, n_done: int, n_tasks: int, clock
-    ) -> ExecutionError:
-        """Build (and log) the end-to-end deadline terminal error."""
-        terminal = _deadline_error(deadline_s, n_done, n_tasks)
-        self.events.append(
-            ExecutionEvent(kind="deadline", time_s=clock(), detail=str(terminal))
+    message = f"threaded execution failed: {errors[0]}"
+    if stuck:
+        message += f" (worker(s) {wedged} still wedged after {join_timeout:.1f}s)"
+    if len(errors) > 1:
+        others = "; ".join(f"{type(e).__name__}: {e}" for e in errors[1:])
+        message += (
+            f" (+{len(errors) - 1} additional worker failure(s): {others})"
         )
-        return terminal
-
-    def finish(
-        self, state: DispatchState, stuck: list[str], join_timeout: float
-    ) -> None:
-        """Raise when a worker wedged (terminal errors already raised)."""
-        if stuck:
-            raise ExecutionError(
-                f"worker thread(s) for device(s) {', '.join(stuck)} did not "
-                f"finish within {join_timeout:.1f}s; a task is wedged"
-            )
-
-
-def _format_failures(errors: list[BaseException], extra: str = "") -> str:
-    """One message naming every worker failure, first cause leading."""
-    head = f"threaded execution failed: {errors[0]}{extra}"
-    if len(errors) == 1:
-        return head
-    others = "; ".join(f"{type(e).__name__}: {e}" for e in errors[1:])
-    return (
-        f"{head} (+{len(errors) - 1} additional worker failure(s): {others})"
-    )
+    return ExecutionError(message)
 
 
 # ----------------------------------------------------------------------
@@ -934,17 +704,11 @@ class DispatchKernel:
         workers: :class:`InlineWorkers` (sequential, calling thread) or
             :class:`ThreadedWorkers` (one named worker thread per device).
         middleware: policy middleware wrapping each task attempt,
-            outermost first (retry, deadlines, tracing, validation...).
+            outermost first (retry, tracing, validation...).
         fault_injector: optional deterministic chaos hooks, consulted at
             every attempt start and every cross-device tensor hand-off.
-        failure_policy: what a worker failure does to the run
-            (:class:`AbortPolicy` by default; :class:`FailoverPolicy`
-            for resilient semantics).  Inline dispatch propagates
-            exceptions directly and ignores the policy.
         arena: optional :class:`~repro.runtime.memory.TensorArena`; when
             given, kernel outputs land in preallocated reusable buffers.
-        deadline_s: optional end-to-end wall-clock budget (threaded
-            strategy only), enforced by the orchestrator.
         validate_transfers: install the non-finite transfer guard after
             feed resolution.
     """
@@ -956,18 +720,14 @@ class DispatchKernel:
         workers: InlineWorkers | ThreadedWorkers | None = None,
         middleware: Sequence[Middleware] = (),
         fault_injector: "FaultInjector | None" = None,
-        failure_policy=None,
         arena: "TensorArena | None" = None,
-        deadline_s: float | None = None,
         validate_transfers: bool = False,
     ):
         self.plan = plan
         self.workers = workers or ThreadedWorkers()
         self.middleware = list(middleware)
         self.fault_injector = fault_injector
-        self.failure_policy = failure_policy or AbortPolicy()
         self.arena = arena
-        self.deadline_s = deadline_s
         self.validate_transfers = validate_transfers
         self.devices = plan_worker_devices(plan)
         self.template = _DependencyTemplate(plan)
@@ -977,16 +737,17 @@ class DispatchKernel:
     def run(
         self,
         inputs: Mapping[str, np.ndarray] | None = None,
-        t0: float | None = None,
         *,
         should_preempt: Callable[[], bool] | None = None,
         checkpoint: PhaseCheckpoint | None = None,
     ) -> CoreResult | PhaseCheckpoint:
         """Execute the plan numerically; blocks until all tasks finish.
 
-        ``t0`` anchors a threaded run's clock (events/deadlines are
-        relative to it); it defaults to "now" and is supplied by callers
-        that span several dispatches (the resilient restart path).
+        A threaded run aborts on the first worker failure: queued work
+        is drained, the workers are joined, and one
+        :class:`~repro.errors.ExecutionError` names every failure and
+        any wedged worker, chained to the first cause.  Inline dispatch
+        raises the failing task's exception directly.
 
         Inline dispatch has suspension points at plan phase boundaries:
         before executing the first task of each *new* phase it consults
@@ -1019,9 +780,7 @@ class DispatchKernel:
                     "preemptible dispatch requires InlineWorkers; threaded "
                     "dispatch has no sequential phase boundaries to suspend at"
                 )
-            t0 = time.perf_counter() if t0 is None else t0
-            state = DispatchState(self.plan, self.template)
-            return self._run_threaded(state, inputs, t0)
+            return self._run_threaded(inputs)
         if checkpoint is None:
             state = DispatchState(self.plan, self.template)
             start, elapsed, preemptions = 0, 0.0, 0
@@ -1102,9 +861,8 @@ class DispatchKernel:
             stages.append(TransferGuardMiddleware())
         return build_attempt_stack(stages, kernel_stage)
 
-    def _commit(self, state: DispatchState, ctx: TaskContext):
-        """Publish a finished task's outputs; returns newly-ready work as
-        ``(task, destination device)`` pairs (lost devices rerouted)."""
+    def _commit(self, state: DispatchState, ctx: TaskContext) -> list[TaskSpec]:
+        """Publish a finished task's outputs; returns newly-ready tasks."""
         task = ctx.task
         with state.lock:
             for idx, out_id in enumerate(task.module.output_ids):
@@ -1115,13 +873,7 @@ class DispatchKernel:
             for dep in state.dependents[task.task_id]:
                 state.remaining_deps[dep.task_id] -= 1
                 if state.remaining_deps[dep.task_id] == 0:
-                    dest = dep.device
-                    if dest in state.lost:
-                        dest = next(
-                            (d for d in self.devices if d not in state.lost),
-                            dest,
-                        )
-                    ready.append((dep, dest))
+                    ready.append(dep)
         return ready
 
     def _collect(
@@ -1138,43 +890,33 @@ class DispatchKernel:
 
     # ------------------------------------------------------------------
 
-    def _run_threaded(self, state, inputs, t0) -> CoreResult:
+    def _run_threaded(self, inputs) -> CoreResult:
+        t0 = time.perf_counter()
+        state = DispatchState(self.plan, self.template)
         attempt = self._attempt_stack(state, inputs)
-        policy = self.failure_policy
         queues: dict[str, "queue.Queue[TaskSpec | None]"] = {
             dev: queue.Queue() for dev in self.devices
         }
-        notify: "queue.Queue[_Message]" = queue.Queue()
-
-        def clock() -> float:
-            return time.perf_counter() - t0
-
-        control = _Controller(self, state, queues, clock)
+        finished: "queue.Queue[bool]" = queue.Queue()  # one entry per task
 
         def process(task: TaskSpec, device: str) -> None:
             ctx = TaskContext(task=task, device=device)
             try:
                 attempt(ctx)
-            except DeviceLostError as exc:
-                with state.lock:
-                    state.errors.append(exc)
-                notify.put(_Message("lost", task, exc))
-                return
             except _GiveUp as exc:
-                with state.lock:
-                    state.errors.append(exc.cause)
-                notify.put(_Message("fail", task, exc.cause, exc.attempts))
-                return
+                failure: BaseException = exc.cause
             except BaseException as exc:
                 # Broad by design: arbitrary kernel exceptions must
                 # propagate to the caller, not kill the worker silently.
-                with state.lock:
-                    state.errors.append(exc)
-                notify.put(_Message("fail", task, exc))
+                failure = exc
+            else:
+                for dep in self._commit(state, ctx):
+                    queues[dep.device].put(dep)
+                finished.put(True)
                 return
-            for dep, dest in self._commit(state, ctx):
-                queues[dest].put(dep)
-            notify.put(_Message("ok", task))
+            with state.lock:
+                state.errors.append(failure)
+            finished.put(False)
 
         def worker(device: str) -> None:
             while True:
@@ -1199,34 +941,10 @@ class DispatchKernel:
             if state.remaining_deps[task.task_id] == 0:
                 queues[task.device].put(task)
 
-        n_tasks = len(self.plan.tasks)
+        # Count completions; the first failure stops the run.
         n_done = 0
-        terminal: BaseException | None = None
-        restart: RestartOnSurvivor | None = None
-        deadline_at = t0 + self.deadline_s if self.deadline_s is not None else None
-        while n_done < n_tasks:
-            timeout = None
-            if deadline_at is not None:
-                timeout = max(0.0, deadline_at - time.perf_counter())
-            try:
-                msg = notify.get(timeout=timeout)
-            except queue.Empty:
-                terminal = policy.on_deadline(
-                    self.deadline_s, n_done, n_tasks, clock
-                )
-                break
-            if msg.kind == "ok":
-                n_done += 1
-                continue
-            action = policy.on_failure(msg, control)
-            if action is None:
-                continue
-            what, payload = action
-            if what == "restart":
-                restart = payload
-            else:
-                terminal = payload
-            break
+        while n_done < len(self.plan.tasks) and finished.get():
+            n_done += 1
 
         # Shutdown: drain, sentinel, join.
         join_timeout = self.workers.join_timeout
@@ -1244,9 +962,7 @@ class DispatchKernel:
             if t.is_alive():
                 stuck.append(dev)
 
-        if restart is not None:
-            raise restart
-        if terminal is not None:
-            raise terminal
-        policy.finish(state, stuck, join_timeout)
+        error = _abort_error(state.errors, stuck, join_timeout)
+        if error is not None:
+            raise error from (state.errors[0] if state.errors else None)
         return self._collect(state, time.perf_counter() - t0)

@@ -3,12 +3,14 @@
 A :class:`FaultPlan` declares *what* goes wrong — transient kernel
 failures, latency stalls, transfer corruption/failure, permanent device
 loss — and a :class:`FaultInjector` turns the plan into per-run stateful
-hooks that both real executors (:class:`~repro.runtime.threaded.ThreadedExecutor`,
-:class:`~repro.runtime.resilient.ResilientExecutor`) and the virtual-time
-simulator (:func:`~repro.runtime.simulator.simulate`) call at well-defined
-points.  All behaviour is a pure function of the plan plus attempt
-counters, so chaos scenarios replay identically run after run: the same
-task attempt fails, the same transfer corrupts, the same device dies.
+hooks that every wall-clock dispatch
+(:class:`~repro.runtime.threaded.ThreadedExecutor`,
+:class:`~repro.runtime.session.EngineSession` and so the serving lanes)
+and the virtual-time simulator (:func:`~repro.runtime.simulator.simulate`)
+call at well-defined points.  All behaviour is a pure function of the
+plan plus attempt counters, so chaos scenarios replay identically run
+after run: the same task attempt fails, the same transfer corrupts, the
+same device dies.
 
 Wall-clock hooks (executors):
 
@@ -171,8 +173,8 @@ class FaultInjector:
     """Stateful, seeded realization of a :class:`FaultPlan` for one run.
 
     The injector counts attempts per task and per transfer so "fail the
-    first *k* attempts" semantics compose with the resilient executor's
-    retry loop.  Call :meth:`reset` to reuse one injector across runs.
+    first *k* attempts" semantics compose with the retry middleware's
+    loop.  Call :meth:`reset` to reuse one injector across runs.
     """
 
     def __init__(self, plan: FaultPlan | None = None):
@@ -210,7 +212,7 @@ class FaultInjector:
         return device in self._lost
 
     def mark_device_lost(self, device: str) -> None:
-        """Force-mark a device as lost (used by executors on failover)."""
+        """Force-mark a device as lost."""
         self._lost.add(device)
 
     def revive_device(self, device: str) -> None:
@@ -223,7 +225,7 @@ class FaultInjector:
         self._lost.discard(device)
 
     # ------------------------------------------------------------------
-    # Wall-clock hooks (ThreadedExecutor / ResilientExecutor)
+    # Wall-clock hooks (every DispatchKernel run)
 
     def on_task_start(self, task_id: str, device: str) -> None:
         """Hook for the start of one execution attempt.

@@ -15,7 +15,18 @@ from typing import Mapping
 from repro.compiler.lowering import CompiledModule
 from repro.errors import SchedulingError
 
-__all__ = ["Source", "TaskSpec", "HeteroPlan", "single_device_plan"]
+__all__ = [
+    "DEVICES",
+    "Source",
+    "TaskSpec",
+    "HeteroPlan",
+    "single_device_plan",
+    "survivor_plan",
+]
+
+#: The default machine's device pair, in canonical order: the worker set
+#: of every plan placed on it, and the failover preference order.
+DEVICES = ("cpu", "gpu")
 
 
 @dataclass(frozen=True)
@@ -128,3 +139,33 @@ def single_device_plan(module: CompiledModule, device: str) -> HeteroPlan:
     )
     outputs = [(task.task_id, i) for i in range(len(module.output_ids))]
     return HeteroPlan(tasks=[task], outputs=outputs)
+
+
+def survivor_plan(
+    degradation_plans: Mapping[str, HeteroPlan],
+    lost: "set[str] | frozenset[str]",
+    devices: "tuple[str, ...] | None" = None,
+) -> tuple[str, HeteroPlan] | None:
+    """Pick a standing single-device plan that avoids every lost device.
+
+    Serving lanes use this when a worker slot observes a
+    :class:`~repro.errors.DeviceLostError`: the slot's session must be
+    rebuilt onto a surviving device, and the degradation plans
+    :meth:`DuetEngine.optimize` already compiled are exactly the
+    candidates.  Returns ``(device, plan)`` for the first surviving
+    device in preference order — ``devices`` when given, else the
+    canonical :data:`DEVICES` pair followed by any other devices with
+    standing plans, sorted (deterministic across runs) — or ``None``
+    when no survivor has a standing plan: the lane then has nothing to
+    fail over to and must keep failing requests until a device is
+    restored.
+    """
+    if devices is None:
+        devices = DEVICES + tuple(sorted(set(degradation_plans) - set(DEVICES)))
+    for device in devices:
+        if device in lost:
+            continue
+        plan = degradation_plans.get(device)
+        if plan is not None:
+            return device, plan
+    return None

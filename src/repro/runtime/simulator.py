@@ -327,8 +327,7 @@ def _walk_lazy(
         if injector is not None:
             # Stalls extend the task on the virtual clock; kernel faults
             # and device losses raise (no retry here — the simulator is
-            # the cheap chaos probe, recovery lives in the resilient
-            # executor).
+            # the cheap chaos probe, recovery lives in the serving lane).
             start += injector.on_virtual_task(task.task_id, task.device, start)
         record = clock.run_task(task, start)
         device_free[task.device] = record.finish

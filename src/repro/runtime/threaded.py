@@ -4,8 +4,8 @@ The paper's executor (§IV-D) spawns one worker per device; each works a
 busy loop — poll the synchronization queue, execute the subgraph, trigger
 its dependents.  :class:`ThreadedExecutor` is
 :class:`~repro.runtime.core.DispatchKernel` with
-:class:`~repro.runtime.core.ThreadedWorkers` and the abort-on-failure
-policy: actual Python threads and ``queue.Queue`` objects executing
+:class:`~repro.runtime.core.ThreadedWorkers`, aborting on any failure:
+actual Python threads and ``queue.Queue`` objects executing
 kernels numerically, so the dependency-triggering logic is validated
 under true concurrency (NumPy releases the GIL inside its kernels, so the
 two workers genuinely overlap).  It returns the kernel's
@@ -18,8 +18,9 @@ the calibrated virtual-time results come from
 A :class:`~repro.runtime.faults.FaultInjector` can be attached for
 deterministic chaos tests: it is consulted at every task attempt and every
 cross-device tensor hand-off.  This executor has *no* recovery — an
-injected fault aborts the run exactly like a real one; the retrying,
-failing-over path lives in :mod:`repro.runtime.resilient`.
+injected fault aborts the run exactly like a real one, as in the paper's
+executor; retries and failover live in the serving lane
+(:mod:`repro.serving.frontend`).
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.runtime.core import (
-    AbortPolicy,
-    CoreResult,
-    DispatchKernel,
-    ThreadedWorkers,
-)
+from repro.runtime.core import CoreResult, DispatchKernel, ThreadedWorkers
 from repro.runtime.plan import HeteroPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -72,5 +68,4 @@ class ThreadedExecutor:
             self.plan,
             workers=ThreadedWorkers(join_timeout=self.join_timeout),
             fault_injector=self.fault_injector,
-            failure_policy=AbortPolicy(),
         ).run(inputs)

@@ -35,7 +35,7 @@ existing fault machinery into the frontend:
   :class:`~repro.serving.health.SlotHealth` record; a
   :class:`~repro.errors.DeviceLostError` quarantines the slot, re-plans
   onto a surviving device via the standing degradation plans
-  (:func:`~repro.runtime.resilient.survivor_plan`), and rebuilds the
+  (:func:`~repro.runtime.plan.survivor_plan`), and rebuilds the
   slot's session on its own worker thread while the lane's other slots
   keep serving.  :meth:`ServingFrontend.restore_device` stages
   primary-plan rebuilds in the background; workers adopt them at the
@@ -97,9 +97,10 @@ from repro.runtime.core import (
     Middleware,
     PhaseCheckpoint,
     RetryMiddleware,
+    RetryPolicy,
     plan_worker_devices,
 )
-from repro.runtime.resilient import survivor_plan
+from repro.runtime.plan import HeteroPlan, survivor_plan
 from repro.serving.batcher import (
     BatchConfig,
     analyze_stack_safety,
@@ -128,15 +129,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import DuetEngine, DuetOptimization
     from repro.ir.graph import Graph
     from repro.runtime.faults import FaultInjector
-    from repro.runtime.plan import HeteroPlan
-    from repro.runtime.resilient import RetryPolicy
 
 __all__ = ["ServingConfig", "ServeResult", "ServeFuture", "ServingFrontend"]
 
 #: Queue sentinel telling a lane worker to exit.
 _SHUTDOWN = object()
 
-_RETRY_COUNTER_KEYS = ("faults", "retries", "giveups", "task_deadline_misses")
+_RETRY_COUNTER_KEYS = ("faults", "retries", "giveups")
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class ServingConfig:
         max_linger_s: longest a window's first request waits for company
             (stack-safe plans only; a critical-tier head never waits).
         retry_policy: optional
-            :class:`~repro.runtime.resilient.RetryPolicy` installing the
+            :class:`~repro.runtime.core.RetryPolicy` installing the
             retry middleware around every task attempt.
         validate: install invariant validation; ``None`` honors the
             ``REPRO_VALIDATE`` environment variable via the engine.
@@ -612,10 +611,6 @@ class _ModelLane:
             ),
             "giveups": registry.counter(
                 "duet_giveups_total", help="Tasks that exhausted their retries."
-            ),
-            "task_deadline_misses": registry.counter(
-                "duet_task_deadline_misses_total",
-                help="Task attempts that overran their deadline budget.",
             ),
         }
 

@@ -15,8 +15,6 @@ execution path and demanding exact agreement:
   ``overlap=True`` transfer disciplines, which must be bit-identical
   (overlap changes the virtual clock, never the data);
 * the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads);
-* the :class:`~repro.runtime.resilient.ResilientExecutor` with no faults
-  injected (the recovery machinery must be a no-op on healthy runs);
 * the unified :class:`~repro.runtime.core.DispatchKernel` driven
   directly with the inline worker strategy and an arena — the
   configuration :class:`~repro.runtime.session.EngineSession` serves
@@ -79,7 +77,6 @@ from repro.ir.interpreter import make_inputs, run_graph
 from repro.runtime.core import DispatchKernel, InlineWorkers, PhaseCheckpoint
 from repro.runtime.memory import TensorArena
 from repro.runtime.plan import single_device_plan
-from repro.runtime.resilient import ResilientExecutor
 from repro.runtime.simulator import simulate
 from repro.runtime.threaded import ThreadedExecutor
 from repro.testing.invariants import (
@@ -106,7 +103,6 @@ EXECUTOR_NAMES = (
     "simulator",
     "simulator:overlap",
     "threaded",
-    "resilient",
     "core",
     "preempt",
 )
@@ -462,20 +458,6 @@ def run_differential(
                         f"planned {plan.task(tid).device!r}"
                     )
 
-        def run_resilient(outcome, plan=plan, plan_budget=plan_budget):
-            result = ResilientExecutor(plan).run(feeds)
-            outcome.outputs = result.outputs
-            outcome.task_order = result.task_order
-            report.divergences += _compare(
-                outcome.name, result.outputs, ref, plan_budget
-            )
-            report.violations += check_task_order(plan, result.task_order)
-            if result.events:
-                report.violations.append(
-                    f"{outcome.name}: fault-free run logged "
-                    f"{len(result.events)} recovery events"
-                )
-
         def run_core(outcome, plan=plan, plan_budget=plan_budget):
             # Two arena-backed requests through one kernel: the session
             # configuration, plus a check that buffer reuse on the second
@@ -533,7 +515,6 @@ def run_differential(
         attempt(f"simulator{suffix}", run_simulator)
         attempt(f"simulator:overlap{suffix}", run_simulator_overlap)
         attempt(f"threaded{suffix}", run_threaded)
-        attempt(f"resilient{suffix}", run_resilient)
         attempt(f"core{suffix}", run_core)
         attempt(f"preempt{suffix}", run_preempt)
 

@@ -1,6 +1,7 @@
 """Tests for the end-to-end DuetEngine."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ class TestOptimize:
         assert opt.used_fallback
         assert opt.fallback_device == "gpu"
         assert opt.latency == pytest.approx(opt.single_device_latency["gpu"])
+
+    def test_optimize_builds_degradation_plans(self, engine):
+        opt = engine.optimize(build_model("siamese", tiny=True))
+        assert set(opt.degradation_plans) == {"cpu", "gpu"}
+        for dev, plan in opt.degradation_plans.items():
+            assert plan.devices_used() == {dev}
+            assert len(plan.tasks) == 1
 
     def test_fallback_plan_is_single_device(self, engine):
         opt = engine.optimize(build_model("resnet"))
@@ -127,3 +135,56 @@ class TestFallbackMargin:
         engine = DuetEngine(machine=machine, fallback_margin=0.99)
         opt = engine.optimize(build_model("wide_deep", tiny=True))
         assert opt.used_fallback
+
+
+class TestRobustProfileSaving:
+    """An unwritable artifact path must not sink the optimization."""
+
+    def test_unwritable_path_warns_and_continues(self, machine, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("i am a file, not a directory")
+        bad_path = blocker / "profiles.json"  # OSError on write
+        graph = build_model("wide_deep", tiny=True)
+        engine = DuetEngine(machine=machine)
+        with pytest.warns(RuntimeWarning, match="could not write"):
+            opt = engine.optimize(graph, profile_path=str(bad_path))
+        # The freshly profiled results are intact and usable.
+        assert opt.profiles
+        assert opt.latency > 0
+
+    def test_read_only_directory_warns_and_continues(
+        self, machine, tmp_path, monkeypatch
+    ):
+        # Simulate a read-only directory / full disk regardless of the
+        # privileges the test runs under (root ignores mode bits).
+        import repro.core.profile_store as store
+
+        def denied(partition, profiles, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(store, "save_profiles", denied)
+        graph = build_model("wide_deep", tiny=True)
+        engine = DuetEngine(machine=machine)
+        with pytest.warns(RuntimeWarning, match="could not write"):
+            opt = engine.optimize(
+                graph, profile_path=str(tmp_path / "ro" / "profiles.json")
+            )
+        assert opt.profiles
+
+    def test_profiling_error_on_load_still_reprofiles(self, machine, tmp_path):
+        # Sanity: artifact problems keep triggering re-profiling (not the
+        # new OSError path).
+        path = tmp_path / "profiles.json"
+        path.write_text("{broken")
+        graph = build_model("wide_deep", tiny=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning expected here
+            opt = DuetEngine(machine=machine).optimize(
+                graph, profile_path=str(path)
+            )
+        assert opt.profiles
+        # The artifact was rewritten with good contents.
+        from repro.core import load_profiles, partition_graph
+
+        reloaded = load_profiles(partition_graph(graph), path)
+        assert set(reloaded) == set(opt.profiles)

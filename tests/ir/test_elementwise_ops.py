@@ -81,6 +81,18 @@ class TestUnaryOps:
         big = np.asarray([10.0], dtype=np.float32)
         np.testing.assert_allclose(_run("gelu", [big]), [10.0], rtol=1e-3)
 
+    def test_gelu_matches_float64_definition(self, rng):
+        # The op is both the interpreter reference and the NumPy kernel,
+        # so only an independent definition catches a wrong constant.
+        # Tanh form, in float64, bounded by float32 rounding.
+        x = (rng.standard_normal(4096) * 2.0).astype(np.float32)
+        x64 = x.astype(np.float64)
+        inner = np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)
+        want = 0.5 * x64 * (1.0 + np.tanh(inner))
+        got = _run("gelu", [x]).astype(np.float64)
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(got - want) <= 4 * eps * np.abs(x64))
+
     def test_unary_preserves_type(self):
         t = TensorType((4, 4))
         assert _infer("relu", [t]) == t

@@ -326,6 +326,33 @@ class TestNorms:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
+    def test_layer_norm_matches_float64_definition(self, rng):
+        # The op is both the interpreter reference and the NumPy kernel,
+        # so only an independent definition catches a wrong epsilon.
+        # Rows at two spreads and three offsets; the bound scales float32
+        # rounding by the magnitudes the normalisation amplifies.
+        d, epsilon = 64, 1e-5
+        x = np.concatenate(
+            [
+                offset + spread * rng.standard_normal((8, d))
+                for spread in (1.0, 0.1)
+                for offset in (0.0, 0.5, 3.0)
+            ]
+        ).astype(np.float32)
+        gamma = rng.standard_normal(d).astype(np.float32)
+        beta = rng.standard_normal(d).astype(np.float32)
+        x64, g64, b64 = (a.astype(np.float64) for a in (x, gamma, beta))
+        mu = x64.sum(axis=-1, keepdims=True) / d
+        var = ((x64 - mu) ** 2).sum(axis=-1, keepdims=True) / d
+        want = (x64 - mu) / np.sqrt(var + epsilon) * g64 + b64
+        got = _run("layer_norm", [x, gamma, beta])  # default epsilon
+        eps = np.finfo(np.float32).eps
+        bound = 16 * eps * (
+            np.abs(g64) * (np.abs(x64) + np.abs(mu)) / np.sqrt(var)
+            + np.abs(b64)
+        )
+        assert np.all(np.abs(got.astype(np.float64) - want) <= bound)
+
     def test_layer_norm_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             _infer(

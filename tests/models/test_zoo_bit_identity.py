@@ -1,10 +1,10 @@
 """Zoo-wide bit-identity: every model, every executor, exact outputs.
 
-DUET's transparency claim (§IV-D) at model scale: the interpreter, the
-threaded executor, and the resilient executor (fault-free) must produce
-*element-exact* outputs for every model in the zoo — same shape, same
-dtype, ``==`` everywhere.  All paths run the same NumPy kernels in
-dependency order, so there is no tolerance to hide behind.
+DUET's transparency claim (§IV-D) at model scale: the interpreter and the
+threaded executor must produce *element-exact* outputs for every model in
+the zoo — same shape, same dtype, ``==`` everywhere.  Both paths run the
+same NumPy kernels in dependency order, so there is no tolerance to hide
+behind.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from repro.core import DuetEngine
 from repro.ir.interpreter import make_inputs, run_graph
 from repro.models import MODEL_NAMES, build_model
-from repro.runtime.resilient import ResilientExecutor
 from repro.runtime.threaded import ThreadedExecutor
 
 
@@ -36,7 +35,3 @@ def test_zoo_model_bit_identity(model_name, machine):
 
     threaded = ThreadedExecutor(plan).run(feeds)
     _assert_identical(f"{model_name}/threaded", threaded.outputs, ref)
-
-    resilient = ResilientExecutor(plan).run(feeds)
-    _assert_identical(f"{model_name}/resilient", resilient.outputs, ref)
-    assert resilient.events == [], "fault-free run must log no recovery"

@@ -12,7 +12,7 @@ from repro.compiler import Compiler
 from repro.compiler.target import CPU_TARGET
 from repro.core import DuetEngine
 from repro.errors import (
-    DeadlineExceededError,
+    DeviceLostError,
     ExecutionError,
     InvariantViolation,
     TransferError,
@@ -24,6 +24,8 @@ from repro.runtime.core import (
     DispatchKernel,
     InlineWorkers,
     InvariantMiddleware,
+    RetryMiddleware,
+    RetryPolicy,
     TaskContext,
     ThreadedWorkers,
     TracingMiddleware,
@@ -130,14 +132,22 @@ class TestWorkerStrategies:
         with pytest.raises(ValueError, match="not a runtime error"):
             DispatchKernel(bad, workers=InlineWorkers()).run(make_inputs(graph))
 
-    def test_deadline_times_out_under_default_policy(self, plan_and_graph):
+    def test_failed_threaded_run_joins_its_workers(self, plan_and_graph):
         plan, graph = plan_and_graph
-        kernel = DispatchKernel(plan, workers=ThreadedWorkers(), deadline_s=1e-9)
-        with pytest.raises(DeadlineExceededError, match="end-to-end deadline"):
-            kernel.run(make_inputs(graph))
+
+        def boom(args):
+            raise ValueError("kernel exploded")
+
+        before = set(threading.enumerate())
+        with pytest.raises(ExecutionError, match="kernel exploded"):
+            DispatchKernel(
+                _patch_first_kernel(plan, boom), workers=ThreadedWorkers()
+            ).run(make_inputs(graph))
         # The shutdown block ran: no device worker outlives the dispatch.
         assert not [
-            t for t in threading.enumerate() if t.name.startswith("duet-worker-")
+            t
+            for t in set(threading.enumerate()) - before
+            if t.name.startswith("duet-worker-")
         ]
 
     def test_missing_external_input(self, plan_and_graph):
@@ -159,6 +169,106 @@ class TestWorkerStrategies:
         plain = DispatchKernel(plan, workers=InlineWorkers()).run(feeds)
         for a, b in zip(first, plain.outputs):
             np.testing.assert_array_equal(a, b)
+
+
+class TestRetryPolicy:
+    def test_backoff_grows_exponentially(self):
+        policy = RetryPolicy(backoff_base_s=0.01, backoff_multiplier=2.0, jitter=0.0)
+        rng = np.random.default_rng(0)
+        assert policy.backoff_s(1, rng) == pytest.approx(0.01)
+        assert policy.backoff_s(3, rng) == pytest.approx(0.04)
+
+    def test_jitter_bounded(self):
+        policy = RetryPolicy(backoff_base_s=0.01, jitter=0.5)
+        rng = np.random.default_rng(0)
+        for attempt in range(1, 5):
+            delay = policy.backoff_s(attempt, rng)
+            nominal = 0.01 * 2.0 ** (attempt - 1)
+            assert 0.5 * nominal <= delay <= 1.5 * nominal
+
+    def test_validation(self):
+        with pytest.raises(ExecutionError, match="max_attempts"):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ExecutionError, match="jitter"):
+            RetryPolicy(jitter=1.5)
+        # Each would hand time.sleep a negative or NaN delay on the first
+        # retry, raising inside a serving worker instead of here.
+        for name, value in (
+            ("backoff_base_s", -1e-3),
+            ("backoff_base_s", float("nan")),
+            ("backoff_base_s", float("inf")),
+            ("backoff_multiplier", -2.0),
+            ("backoff_multiplier", float("nan")),
+        ):
+            with pytest.raises(ExecutionError, match=name):
+                RetryPolicy(**{name: value})
+        policy = RetryPolicy(backoff_base_s=0.0, backoff_multiplier=0.0)
+        assert policy.backoff_s(2, np.random.default_rng(0)) == 0.0
+
+
+class TestRetryMiddleware:
+    def _retry(self, max_attempts=3, seed=0, backoff_base_s=1e-5):
+        events, counters = [], dict.fromkeys(("faults", "retries", "giveups"), 0)
+        mw = RetryMiddleware(
+            RetryPolicy(max_attempts=max_attempts, backoff_base_s=backoff_base_s),
+            events,
+            counters,
+            {"cpu": np.random.default_rng(seed)},
+            clock=lambda: 0.0,
+        )
+        return mw, events, counters
+
+    @staticmethod
+    def _flaky(failures, error=None):
+        calls = []
+
+        def attempt(ctx):
+            calls.append(ctx.attempt)
+            if len(calls) <= failures:
+                raise error or TransientKernelError("flaky")
+
+        return attempt, calls
+
+    def _ctx(self):
+        return TaskContext(task=SimpleNamespace(task_id="t0"), device="cpu")
+
+    def test_transient_faults_retried_to_success(self):
+        mw, events, counters = self._retry()
+        attempt, calls = self._flaky(2)
+        mw(self._ctx(), attempt)
+        assert calls == [1, 2, 3]
+        assert counters == {"faults": 2, "retries": 2, "giveups": 0}
+        assert [e.kind for e in events] == [
+            "fault", "backoff", "retry", "fault", "backoff", "retry",
+        ]
+        assert (events[0].task_id, events[0].attempt) == ("t0", 1)
+
+    def test_gives_up_after_max_attempts(self):
+        mw, events, counters = self._retry(max_attempts=2)
+        attempt, calls = self._flaky(99)
+        with pytest.raises(Exception) as excinfo:
+            mw(self._ctx(), attempt)
+        assert isinstance(excinfo.value.__cause__, TransientKernelError)
+        assert calls == [1, 2]
+        assert counters["giveups"] == 1
+        assert events[-1].kind == "giveup"
+
+    def test_device_loss_is_not_retried(self):
+        mw, events, counters = self._retry()
+        attempt, calls = self._flaky(1, DeviceLostError("cpu"))
+        with pytest.raises(DeviceLostError):
+            mw(self._ctx(), attempt)
+        assert calls == [1]
+        assert events == [] and counters["faults"] == 0
+
+    def test_backoff_jitter_replays_under_a_seed(self):
+        def backoffs(seed):
+            mw, events, _ = self._retry(seed=seed, backoff_base_s=1e-3)
+            mw(self._ctx(), self._flaky(2)[0])
+            return [e.detail for e in events if e.kind == "backoff"]
+
+        assert backoffs(7) == backoffs(7)
+        assert backoffs(7) != backoffs(8)
 
 
 class TestTracingMiddleware:

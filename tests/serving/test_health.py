@@ -2,7 +2,7 @@
 
 Unit coverage of the three health pieces (:class:`SlotHealth`'s state
 machine, :class:`LaneHealth`'s lost-device set, the
-:class:`TenantAwareShedder` EWMA math) plus :func:`~repro.runtime.resilient.
+:class:`TenantAwareShedder` EWMA math) plus :func:`~repro.runtime.plan.
 survivor_plan` selection.  The integration test then walks the whole
 quarantine lifecycle against a real frontend: kill the GPU under a
 :class:`~repro.runtime.faults.ScriptedChaosInjector`, watch the slot
@@ -22,8 +22,15 @@ from repro.devices import default_machine
 from repro.errors import ExecutionError, ReproError
 from repro.ir import make_inputs
 from repro.models import build_model
-from repro.runtime.faults import ScriptedChaosInjector
-from repro.runtime.resilient import survivor_plan
+from repro.runtime import RetryPolicy
+from repro.runtime.faults import (
+    DeviceLoss,
+    FaultInjector,
+    FaultPlan,
+    ScriptedChaosInjector,
+    TransferFault,
+)
+from repro.runtime.plan import survivor_plan
 from repro.runtime.session import EngineSession
 from repro.serving import (
     SLOT_DEGRADED,
@@ -164,6 +171,22 @@ def _identical(outputs, want):
     )
 
 
+def _first_crossing(plan):
+    """``(ref, dest_device)`` of the plan's first cross-device tensor."""
+    device_of = {task.task_id: task.device for task in plan.tasks}
+    for task in plan.tasks:
+        for src in task.sources.values():
+            # Model inputs are host-resident, so an off-host consumer of
+            # one crosses too.
+            produced_on = device_of.get(src.ref, "cpu")
+            if produced_on != task.device:
+                return src.ref, task.device
+    raise AssertionError("plan has no cross-device edge")
+
+
+FAST_RETRY = RetryPolicy(max_attempts=2, backoff_base_s=1e-4)
+
+
 class TestDeviceLossRecovery:
     def test_quarantine_rebuild_and_restore_lifecycle(self):
         engine, opt, feeds, want = _mixed_setup()
@@ -257,6 +280,79 @@ class TestDeviceLossRecovery:
             for _ in range(2):
                 with pytest.raises(ReproError):
                     frontend.request(feeds, model="m", timeout_s=30.0)
+
+    def test_retries_exhausted_fail_the_request_then_recover(self):
+        engine, opt, feeds, want = _mixed_setup()
+        injector = ScriptedChaosInjector()
+        config = ServingConfig(
+            pool_size=1, batching=False, shedding=False, retry_policy=FAST_RETRY
+        )
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            # Every attempt fails: the first task gives up after two.
+            injector.set_mode("transient", rate=1)
+            with pytest.raises(ReproError, match="after 2 attempt"):
+                frontend.request(feeds, model="m", timeout_s=30.0)
+            registry = frontend.registry
+            assert registry.counter("duet_giveups_total").total() >= 1
+            assert registry.counter("duet_retries_total").total() >= 1
+            # A transient storm is not a device loss: the slot stays put.
+            assert frontend.lane_info("m")["slot_states"] == [SLOT_HEALTHY]
+            injector.set_mode(None)
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+
+    def test_failed_transfer_is_retried_bit_identically(self):
+        engine, opt, feeds, want = _mixed_setup()
+        ref, dest = _first_crossing(opt.plan)
+        injector = FaultInjector(
+            FaultPlan(
+                transfer_faults=(
+                    TransferFault(ref, dest, mode="fail", fail_attempts=1),
+                )
+            )
+        )
+        config = ServingConfig(
+            pool_size=1, batching=False, shedding=False, retry_policy=FAST_RETRY
+        )
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+            registry = frontend.registry
+            assert registry.counter("duet_faults_total").total() == 1
+            assert registry.counter("duet_retries_total").total() == 1
+            assert registry.counter("duet_giveups_total").total() == 0
+
+    def test_device_lost_mid_request_answers_from_rebuilt_slot(self):
+        engine, opt, feeds, want = _mixed_setup()
+        tasks = opt.plan.tasks
+        first_cpu = next(i for i, t in enumerate(tasks) if t.device == "cpu")
+        at = next(
+            t for t in tasks[first_cpu + 1:] if t.device == "gpu"
+        )
+        # Inline dispatch runs in plan order, so the CPU task before the
+        # loss has committed when the GPU dies under the same request.
+        injector = FaultInjector(
+            FaultPlan(device_losses=(DeviceLoss("gpu", at_task=at.task_id),))
+        )
+        config = ServingConfig(pool_size=1, batching=False, shedding=False)
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            lane = frontend._lanes["m"]
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+            assert injector.task_attempts(tasks[first_cpu].task_id) == 1
+            assert lane.slot_rebuilds.value(model="m", kind="degraded") == 1
+            info = frontend.lane_info("m")
+            assert info["slot_states"] == [SLOT_DEGRADED]
+            assert info["lost_devices"] == ["gpu"]
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+            assert lane.slot_rebuilds.value(model="m", kind="degraded") == 1
 
     def test_restore_stays_degraded_while_any_device_is_lost(self):
         engine, opt, feeds, want = _mixed_setup()

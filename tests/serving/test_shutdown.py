@@ -18,8 +18,8 @@ from repro.devices import default_machine
 from repro.errors import ExecutionError, ReproError
 from repro.ir import make_inputs
 from repro.models import build_model
+from repro.runtime import RetryPolicy
 from repro.runtime.faults import ScriptedChaosInjector
-from repro.runtime.resilient import RetryPolicy
 from repro.serving import ServingConfig
 
 

@@ -27,8 +27,8 @@ import pytest
 
 from repro.core import DuetEngine
 from repro.ir import make_inputs
+from repro.runtime import RetryPolicy
 from repro.runtime.faults import FaultInjector, FaultPlan, KernelFault, TransferFault
-from repro.runtime.resilient import RetryPolicy
 from repro.runtime.session import EngineSession
 from repro.serving import ServingConfig, TenantConfig, TenantRegistry
 from repro.testing import GeneratorConfig, case_rng, generate_graph

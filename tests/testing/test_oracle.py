@@ -26,8 +26,8 @@ class TestConformingGraphs:
         report = run_differential(graph, machine=machine)
         assert report.ok, report.summary()
         # Scheduled arm + both single-device arms always present.
-        assert {"single:cpu", "single:gpu", "simulator", "threaded",
-                "resilient"} <= set(report.outcomes)
+        assert {"single:cpu", "single:gpu", "simulator",
+                "threaded"} <= set(report.outcomes)
         assert "OK" in report.summary()
 
     def test_zoo_model_all_paths_agree(self, machine):
@@ -57,7 +57,7 @@ class TestConformingGraphs:
 
 class TestMeshArm:
     """The oracle generalizes past the paper pair: every arm (scheduled,
-    per-device singles, threaded, resilient, forced alternating) must
+    per-device singles, threaded, forced alternating) must
     agree on an N-device mesh too."""
 
     def test_fuzz_graph_all_paths_agree_on_3dev_mesh(self, mesh3):
@@ -66,7 +66,7 @@ class TestMeshArm:
         assert report.ok, report.summary()
         # One single-device arm per mesh device.
         assert {"single:cpu", "single:gpu0", "single:gpu1", "simulator",
-                "threaded", "resilient"} <= set(report.outcomes)
+                "threaded"} <= set(report.outcomes)
 
     def test_zoo_model_all_paths_agree_on_3dev_mesh(self, mesh3):
         graph = build_model("mtdnn", tiny=True)
