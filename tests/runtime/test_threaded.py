@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import CompilerAwareProfiler, DuetEngine, partition_graph
 from repro.core.placement import build_hetero_plan
-from repro.errors import ExecutionError, TransientKernelError
+from repro.errors import DeviceLostError, ExecutionError, TransientKernelError
 from repro.ir import make_inputs, run_graph
 from repro.models import build_model
 from repro.runtime.faults import (
@@ -279,3 +279,19 @@ class TestThreadedFaultInjection:
         )
         with pytest.raises(ExecutionError, match="was lost"):
             ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+
+    def test_mid_run_device_loss_propagates_loss(self, siamese_mixed):
+        plan, _, feeds, _ = siamese_mixed
+        gpu_tasks = [t.task_id for t in plan.tasks if t.device == "gpu"]
+        assert len(gpu_tasks) >= 2
+        # The GPU dies after its first task has committed: without a
+        # recovery layer the run aborts with the loss as its cause.
+        injector = FaultInjector(
+            FaultPlan(device_losses=(DeviceLoss("gpu", at_task=gpu_tasks[1]),))
+        )
+        with pytest.raises(ExecutionError, match="was lost") as excinfo:
+            ThreadedExecutor(plan, fault_injector=injector).run(feeds)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, DeviceLostError)
+        assert cause.device == "gpu"
+        assert injector.task_attempts(gpu_tasks[0]) == 1

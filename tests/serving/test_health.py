@@ -12,6 +12,7 @@ and watch :meth:`~repro.serving.ServingFrontend.restore_device` stage a
 background rebuild the worker adopts at a batch boundary.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core import DuetEngine
 from repro.devices import default_machine
-from repro.errors import ExecutionError, ReproError
+from repro.errors import DeviceLostError, ExecutionError, ReproError
 from repro.ir import make_inputs
 from repro.models import build_model
 from repro.runtime import RetryPolicy
@@ -165,6 +166,27 @@ def _mixed_setup():
     return engine, opt, feeds, want
 
 
+def _cpu_then_gpu_setup():
+    """Like :func:`_mixed_setup`, but the first subgraph on the CPU and
+    every later one on the GPU, so the plan has at least two GPU tasks."""
+    from repro.core import CompilerAwareProfiler, partition_graph
+    from repro.core.placement import build_hetero_plan
+
+    engine, opt, feeds, want = _mixed_setup()
+    graph = build_model("siamese", tiny=True)
+    partition = partition_graph(graph)
+    profiles = CompilerAwareProfiler(machine=engine.machine).profile_partition(
+        partition
+    )
+    placement = {
+        sg.id: ("cpu" if i == 0 else "gpu")
+        for i, sg in enumerate(partition.subgraphs)
+    }
+    plan = build_hetero_plan(graph, partition, profiles, placement)
+    opt = dataclasses.replace(opt, plan=plan, fallback_device=None)
+    return engine, opt, feeds, want
+
+
 def _identical(outputs, want):
     return len(outputs) == len(want) and all(
         np.array_equal(got, ref) for got, ref in zip(outputs, want)
@@ -281,6 +303,56 @@ class TestDeviceLossRecovery:
                 with pytest.raises(ReproError):
                     frontend.request(feeds, model="m", timeout_s=30.0)
 
+    def test_both_devices_lost_mid_request_is_terminal(self):
+        engine, opt, feeds, _ = _mixed_setup()
+        first = opt.plan.tasks[0].task_id
+        injector = FaultInjector(
+            FaultPlan(
+                device_losses=(
+                    DeviceLoss("cpu", at_task=first),
+                    DeviceLoss("gpu", at_task=first),
+                )
+            )
+        )
+        config = ServingConfig(pool_size=1, batching=False, shedding=False)
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            lane = frontend._lanes["m"]
+            # The lane learns of one loss at a time: it fails over to the
+            # other device once, finds it lost too, and gives up.
+            for _ in range(2):
+                with pytest.raises(DeviceLostError, match="was lost"):
+                    frontend.request(feeds, model="m", timeout_s=30.0)
+            assert frontend.lane_info("m")["lost_devices"] == ["cpu", "gpu"]
+            assert lane.slot_rebuilds.value(model="m", kind="degraded") == 1
+
+    def test_loss_before_any_completion_restarts_on_survivor(self):
+        engine, opt, feeds, want = _mixed_setup()
+        first = opt.plan.tasks[0]
+        survivor = "gpu" if first.device == "cpu" else "cpu"
+        # The first task's own device dies as it is dispatched: no task
+        # of the request has run when the slot fails over.
+        injector = FaultInjector(
+            FaultPlan(
+                device_losses=(DeviceLoss(first.device, at_task=first.task_id),)
+            )
+        )
+        config = ServingConfig(pool_size=1, batching=False, shedding=False)
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+            assert all(
+                injector.task_attempts(t.task_id) == 0 for t in opt.plan.tasks
+            )
+            slot = frontend._lanes["m"].slots[0]
+            assert slot.health.degraded_device == survivor
+            # The request ran on the survivor's degradation plan alone.
+            assert {t.device for t in slot.session.plan.tasks} == {survivor}
+            assert frontend.lane_info("m")["lost_devices"] == [first.device]
+
     def test_retries_exhausted_fail_the_request_then_recover(self):
         engine, opt, feeds, want = _mixed_setup()
         injector = ScriptedChaosInjector()
@@ -326,6 +398,48 @@ class TestDeviceLossRecovery:
             assert registry.counter("duet_retries_total").total() == 1
             assert registry.counter("duet_giveups_total").total() == 0
 
+    def test_corrupted_transfer_is_detected_and_retried(self):
+        engine, opt, feeds, want = _mixed_setup()
+        ref, dest = _first_crossing(opt.plan)
+
+        def serve_once(validate_transfers):
+            injector = FaultInjector(
+                FaultPlan(
+                    transfer_faults=(TransferFault(ref, dest, mode="corrupt"),)
+                )
+            )
+            config = ServingConfig(
+                pool_size=1,
+                batching=False,
+                shedding=False,
+                retry_policy=FAST_RETRY,
+                validate_transfers=validate_transfers,
+            )
+            with engine.serve(
+                {"m": opt}, config=config, fault_injectors={"m": injector}
+            ) as frontend:
+                result = frontend.request(feeds, model="m", timeout_s=30.0)
+                registry = frontend.registry
+                counts = [
+                    registry.counter(name).total()
+                    for name in (
+                        "duet_faults_total",
+                        "duet_retries_total",
+                        "duet_giveups_total",
+                    )
+                ]
+            return result.outputs, counts
+
+        # The guard turns the poisoned copy into one retried fault, and
+        # the second fetch is clean.
+        outputs, counts = serve_once(validate_transfers=True)
+        assert _identical(outputs, want)
+        assert counts == [1, 1, 0]
+        # Unguarded, the same poison reaches the answer unnoticed.
+        outputs, counts = serve_once(validate_transfers=False)
+        assert not _identical(outputs, want)
+        assert counts == [0, 0, 0]
+
     def test_device_lost_mid_request_answers_from_rebuilt_slot(self):
         engine, opt, feeds, want = _mixed_setup()
         tasks = opt.plan.tasks
@@ -353,6 +467,26 @@ class TestDeviceLossRecovery:
             result = frontend.request(feeds, model="m", timeout_s=30.0)
             assert _identical(result.outputs, want)
             assert lane.slot_rebuilds.value(model="m", kind="degraded") == 1
+
+    def test_gpu_lost_after_gpu_work_completes_on_cpu(self):
+        engine, opt, feeds, want = _cpu_then_gpu_setup()
+        gpu_tasks = [t.task_id for t in opt.plan.tasks if t.device == "gpu"]
+        assert len(gpu_tasks) >= 2
+        # The GPU dies as its second task is dispatched, after its first
+        # has committed under the same request.
+        injector = FaultInjector(
+            FaultPlan(device_losses=(DeviceLoss("gpu", at_task=gpu_tasks[1]),))
+        )
+        config = ServingConfig(pool_size=1, batching=False, shedding=False)
+        with engine.serve(
+            {"m": opt}, config=config, fault_injectors={"m": injector}
+        ) as frontend:
+            result = frontend.request(feeds, model="m", timeout_s=30.0)
+            assert _identical(result.outputs, want)
+            assert injector.task_attempts(gpu_tasks[0]) == 1
+            slot = frontend._lanes["m"].slots[0]
+            assert slot.health.degraded_device == "cpu"
+            assert {t.device for t in slot.session.plan.tasks} == {"cpu"}
 
     def test_restore_stays_degraded_while_any_device_is_lost(self):
         engine, opt, feeds, want = _mixed_setup()
