@@ -269,6 +269,7 @@ def test_chaos_phases_keep_answering_and_recover():
     with engine.serve(
         {"chaos": opt}, config=config, fault_injectors={"chaos": injector}
     ) as frontend:
+        weights_loaded = len(engine.compiler.weights)
 
         def walk():
             for name in phases:
@@ -298,3 +299,6 @@ def test_chaos_phases_keep_answering_and_recover():
     # The lane answers from the surviving device, not just refuses fast.
     assert counts["outage"]["ok"] > 0
     assert counts["recovery"]["ok"] >= 0.5 * counts["baseline"]["ok"]
+    # Rebuilding onto the survivor and back generated no weight: every
+    # plan reads the engine's one store.
+    assert len(engine.compiler.weights) == weights_loaded

@@ -3,14 +3,15 @@
 Each fusion group becomes one :class:`~repro.compiler.kernel.CompiledKernel`
 whose NumPy closure evaluates the member ops in topological order.  Leaf
 nodes (inputs and parameters) become kernel arguments; parameters are
-materialized lazily and cached on the module.
+read lazily from the module's :class:`~repro.ir.weights.WeightStore` and
+cached on the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from repro.compiler.kernel import CompiledKernel, KernelCost
 from repro.compiler.target import Target
 from repro.ir.graph import Graph
 from repro.ir.ops import get_op
+from repro.ir.weights import WeightStore
 
-__all__ = ["CompiledModule", "lower", "build_kernel"]
+__all__ = ["CompiledModule", "lower", "build_kernel", "load_params"]
 
 
 def _group_cost(graph: Graph, group: FusionGroup) -> KernelCost:
@@ -154,6 +156,10 @@ class CompiledModule:
         kernels: kernels in topological execution order.
         input_ids: graph placeholder ids, in declaration order.
         output_ids: graph output node ids.
+        weights: the store the parameters are read from — the lowering
+            compiler's, shared by every module it produced; a module
+            lowered on its own gets a store of its own.
+        param_seed: the seed the parameters are generated under.
     """
 
     graph: Graph
@@ -163,12 +169,13 @@ class CompiledModule:
     output_ids: tuple[str, ...]
     _params: dict[str, np.ndarray] | None = field(default=None, repr=False)
     param_seed: int = 0
+    weights: WeightStore = field(default_factory=WeightStore, repr=False)
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        """Materialized parameters (cached)."""
+        """Const id -> array, from the weight store (cached)."""
         if self._params is None:
-            self._params = self.graph.materialize_params(self.param_seed)
+            self._params = self.weights.params(self.graph, self.param_seed)
         return self._params
 
     @cached_property
@@ -194,6 +201,20 @@ class CompiledModule:
         for kernel in self.kernels:
             env[kernel.output_id] = kernel([env[i] for i in kernel.input_ids])
         return [env[o] for o in self.output_ids]
+
+
+def load_params(modules: Iterable[CompiledModule]) -> None:
+    """Load every module's missing parameters: one batch per weight store,
+    then each module's cached view of them."""
+    modules = list(modules)
+    by_store: dict[int, tuple[WeightStore, list]] = {}
+    for module in modules:
+        entry = by_store.setdefault(id(module.weights), (module.weights, []))
+        entry[1].append((module.graph, module.param_seed))
+    for store, graphs in by_store.values():
+        store.load(graphs)
+    for module in modules:
+        module.params
 
 
 def lower(

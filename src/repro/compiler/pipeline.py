@@ -8,12 +8,13 @@ cost-annotated module for a target device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.lowering import CompiledModule, lower
 from repro.compiler.pass_manager import PassManager, PassRecord, default_passes
 from repro.compiler.target import CPU_TARGET, GPU_TARGET, Target
 from repro.ir.graph import Graph
+from repro.ir.weights import WeightStore
 
 __all__ = ["CompileResult", "compile_graph", "Compiler"]
 
@@ -33,6 +34,7 @@ def compile_graph(
     param_seed: int = 0,
     fuse: bool = True,
     native: "object | None" = None,
+    weights: WeightStore | None = None,
 ) -> CompileResult:
     """Optimize and lower ``graph`` for ``target``.
 
@@ -47,11 +49,15 @@ def compile_graph(
             execution without fusion).
         native: optional :class:`repro.compiler.native.NativeOptions`
             (cache/autotune/pinned-tile knobs) for native-backend targets.
+        weights: the store the module reads its parameters from (a
+            fresh one when omitted).
     """
     pm = PassManager(default_passes(opt_level))
     optimized = pm.run(graph)
     module = lower(optimized, target, fuse=fuse, native=native)
     module.param_seed = param_seed
+    if weights is not None:
+        module.weights = weights
     return CompileResult(module=module, pass_trace=tuple(pm.trace))
 
 
@@ -70,6 +76,11 @@ class Compiler:
     when no system compiler exists.  ``native`` carries the
     cache/autotune/pinned-tile knobs
     (:class:`repro.compiler.native.NativeOptions`).
+
+    ``weights`` is the one :class:`~repro.ir.weights.WeightStore` every
+    module this compiler lowers reads its parameters from, so a weight
+    that several modules (or the two towers of a shared-weight model)
+    use is generated and held once.
     """
 
     opt_level: int = 2
@@ -77,6 +88,9 @@ class Compiler:
     fuse: bool = True
     backend: str = "numpy"
     native: "object | None" = None
+    weights: WeightStore = field(
+        default_factory=WeightStore, init=False, repr=False, compare=False
+    )
 
     def compile(self, graph: Graph, target: Target) -> CompiledModule:
         if self.backend != target.backend:
@@ -88,6 +102,7 @@ class Compiler:
             param_seed=self.param_seed,
             fuse=self.fuse,
             native=self.native,
+            weights=self.weights,
         ).module
 
     def compile_cpu(self, graph: Graph) -> CompiledModule:

@@ -18,6 +18,7 @@ from repro.errors import GraphValidationError, IRError
 from repro.ir.dtype import TensorType
 from repro.ir.node import Node
 from repro.ir.ops import get_op
+from repro.ir.weights import WeightStore
 
 __all__ = ["Graph"]
 
@@ -186,24 +187,13 @@ class Graph:
     def materialize_params(self, seed: int = 0) -> dict[str, np.ndarray]:
         """Deterministically create all parameter tensors.
 
-        Each constant gets its own generator derived from (seed, node id) so
-        values do not depend on materialization order or on other nodes.
-        The id is mixed in via a stable digest — ``hash(str)`` is randomized
-        per process, which would make "deterministic" parameters differ
-        between runs and break reproduce-from-seed everywhere.
+        Each constant gets its own generator derived from (seed, node id)
+        (:func:`~repro.ir.weights.param_rng`), so values do not depend on
+        materialization order or on other nodes.  This is a throwaway
+        :class:`~repro.ir.weights.WeightStore`: the same batch, and the
+        same arrays, a compiler's store would hold.
         """
-        import hashlib
-
-        params: dict[str, np.ndarray] = {}
-        for node in self.const_nodes():
-            digest = hashlib.sha256(node.id.encode("utf-8")).digest()
-            sub = np.random.default_rng(
-                np.random.SeedSequence(
-                    [seed, int.from_bytes(digest[:4], "little")]
-                )
-            )
-            params[node.id] = node.materialize(sub)
-        return params
+        return WeightStore().params(self, seed)
 
     def with_outputs(self, outputs: Iterable[str]) -> "Graph":
         """Copy of this graph with different declared outputs."""

@@ -19,7 +19,11 @@ import numpy as np
 from repro.errors import IRError
 from repro.ir.dtype import TensorType
 
-__all__ = ["NodeKind", "Initializer", "Node"]
+__all__ = ["NodeKind", "Initializer", "Node", "FILL_CHUNK"]
+
+#: Float64 elements a ``NORMAL`` constant draws per step: 128 KiB, so the
+#: draw, the scaling and the cast of one chunk stay in a core's L2 cache.
+FILL_CHUNK = 16384
 
 
 class NodeKind(enum.Enum):
@@ -112,20 +116,59 @@ class Node:
             literal=self.literal,
         )
 
-    def materialize(self, rng: np.random.Generator) -> np.ndarray:
-        """Create this CONST node's data from the given generator."""
+    def materialize(
+        self,
+        rng: np.random.Generator | None,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Create this CONST node's data from the given generator.
+
+        A ``LITERAL`` returns its payload (no generator needed, ``out``
+        ignored).  Every other initializer writes into ``out`` — a
+        C-contiguous array of this node's shape and dtype, allocated here
+        when omitted — and returns it.  ``NORMAL`` draws in float64
+        chunks, scales each in place and casts it into its slice, which
+        is bit-identical to ``(rng.standard_normal(shape) *
+        scale).astype(dtype)`` without that expression's two full-size
+        float64 temporaries.  A chunk is staged in ``scratch`` (a float64
+        vector, one chunk per its length) or, when omitted, in a fresh
+        buffer of :data:`FILL_CHUNK` elements.
+        """
         if not self.is_const:
             raise IRError(f"cannot materialize non-const node {self.id!r}")
         np_dtype = self.ty.dtype.to_numpy()
         if self.init is Initializer.LITERAL:
             assert self.literal is not None
             return self.literal.astype(np_dtype, copy=False)
+        if out is None:
+            out = np.empty(self.ty.shape, dtype=np_dtype)
+        elif (
+            out.shape != tuple(self.ty.shape)
+            or out.dtype != np_dtype
+            or not out.flags.c_contiguous
+        ):
+            raise IRError(
+                f"cannot materialize {self.id!r} into a {out.dtype} array of "
+                f"shape {out.shape}: need a C-contiguous {np_dtype} "
+                f"{tuple(self.ty.shape)}"
+            )
         if self.init is Initializer.ZEROS:
-            return np.zeros(self.ty.shape, dtype=np_dtype)
-        if self.init is Initializer.ONES:
-            return np.ones(self.ty.shape, dtype=np_dtype)
-        if self.init is Initializer.UNIFORM_INT:
+            out.fill(0)
+        elif self.init is Initializer.ONES:
+            out.fill(1)
+        elif self.init is Initializer.UNIFORM_INT:
             high = int(self.attrs.get("init_high", 2))
-            return rng.integers(0, high, size=self.ty.shape).astype(np_dtype)
-        scale = float(self.attrs.get("init_scale", 0.05))
-        return (rng.standard_normal(self.ty.shape) * scale).astype(np_dtype)
+            out[...] = rng.integers(0, high, size=self.ty.shape)
+        else:
+            scale = float(self.attrs.get("init_scale", 0.05))
+            flat = out.reshape(-1)
+            if scratch is None:
+                scratch = np.empty(min(FILL_CHUNK, flat.size))
+            step = scratch.size
+            for start in range(0, flat.size, step):
+                part = scratch[: flat.size - start]
+                rng.standard_normal(out=part)
+                part *= scale
+                flat[start : start + part.size] = part
+        return out

@@ -207,14 +207,6 @@ class FaultInjector:
         """How many execution attempts of ``task_id`` have started."""
         return self._task_attempts.get(task_id, 0)
 
-    def device_is_lost(self, device: str) -> bool:
-        """True once ``device`` has been permanently lost this run."""
-        return device in self._lost
-
-    def mark_device_lost(self, device: str) -> None:
-        """Force-mark a device as lost."""
-        self._lost.add(device)
-
     def revive_device(self, device: str) -> None:
         """Bring a lost device back (driver reset / hot-plug recovery).
 
@@ -374,14 +366,6 @@ class ScriptedChaosInjector(FaultInjector):
     def revive_device(self, device: str) -> None:
         with self._script_lock:
             self._lost.discard(device)
-
-    def device_is_lost(self, device: str) -> bool:
-        with self._script_lock:
-            return device in self._lost
-
-    def mark_device_lost(self, device: str) -> None:
-        with self._script_lock:
-            self._lost.add(device)
 
     # ------------------------------------------------------------------
 

@@ -11,8 +11,10 @@ partition/profile/schedule pipeline — on every call.  An
   session construction;
 * the dispatch dependency structure is precomputed once inside the
   unified :class:`~repro.runtime.core.DispatchKernel`;
-* model parameters are materialized eagerly (weights load at session
-  construction, never mid-request);
+* model parameters load eagerly (at session construction, never
+  mid-request): the plan's missing weights are generated in one batch
+  into the compiler's :class:`~repro.ir.weights.WeightStore`, which
+  every module of the plan reads from;
 * intermediate tensors live in a preallocated
   :class:`~repro.runtime.memory.TensorArena`, so steady-state requests
   reuse stable buffers instead of allocating.
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.compiler.lowering import load_params
 from repro.runtime.core import (
     CoreResult,
     DispatchKernel,
@@ -98,10 +101,7 @@ class EngineSession:
     ):
         self.plan = plan
         self.opt = opt
-        for task in plan.tasks:
-            # Parameters materialize lazily on first access; a serving
-            # session loads weights at construction, not mid-request.
-            task.module.params
+        load_params(task.module for task in plan.tasks)
         self.arena = TensorArena()
         if preallocate:
             self.arena.preallocate(plan)

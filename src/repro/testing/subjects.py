@@ -58,9 +58,9 @@ def mixed_serving_opt(engine, graph):
     if len(devices) > 1:
         return opt
     partition = partition_graph(graph)
-    profiles = CompilerAwareProfiler(machine=engine.machine).profile_partition(
-        partition
-    )
+    profiles = CompilerAwareProfiler(
+        machine=engine.machine, compiler=engine.compiler
+    ).profile_partition(partition)
     devices = engine.machine.device_names
     placement = round_robin_placement(partition, devices)
     plan = build_hetero_plan(

@@ -85,9 +85,10 @@ class TestInjectorAttemptCounting:
         with pytest.raises(DeviceLostError):
             # at_task fires first, and "t" sits on the dying device.
             inj.on_task_start("t", "gpu")
-        assert inj.device_is_lost("gpu")
+        with pytest.raises(DeviceLostError):
+            inj.on_task_start("other", "gpu")
         inj.reset()
-        assert not inj.device_is_lost("gpu")
+        inj.on_task_start("other", "gpu")  # revived: no DeviceLostError
         assert inj.task_attempts("t") == 0
 
 
@@ -98,17 +99,22 @@ class TestDeviceLoss:
         )
         inj.on_task_start("before", "gpu")  # fine: device still alive
         inj.on_task_start("trigger", "cpu")  # trigger lives on the CPU
-        assert inj.device_is_lost("gpu")
         with pytest.raises(DeviceLostError) as excinfo:
             inj.on_task_start("after", "gpu")
         assert excinfo.value.device == "gpu"
         inj.on_task_start("cpu_task", "cpu")  # survivor keeps working
 
-    def test_mark_device_lost(self):
-        inj = FaultInjector()
-        inj.mark_device_lost("cpu")
+    def test_lost_device_refuses_tasks_until_reset(self):
+        inj = FaultInjector(
+            FaultPlan(device_losses=(DeviceLoss("cpu", at_task="trigger"),))
+        )
         with pytest.raises(DeviceLostError):
+            inj.on_task_start("trigger", "cpu")
+        with pytest.raises(DeviceLostError) as excinfo:
             inj.on_task_start("t", "cpu")
+        assert excinfo.value.device == "cpu"
+        inj.reset()
+        inj.on_task_start("t", "cpu")
 
 
 class TestTransferFaults:
