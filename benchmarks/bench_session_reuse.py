@@ -16,8 +16,9 @@ resolves real cross-device feeds):
    ``engine.run`` on an already-held optimization.  Kernel compute
    dominates both, so this is a guardrail, not a speedup claim: the
    session (which also buys stable arena storage and a tracing hook) must
-   stay within a small factor of the bare run, and its arena must stop
-   allocating after warmup.
+   stay within a small factor of the bare run, its arena must stop
+   allocating after warmup, and its pool must be the plan's liveness
+   peak, up to 64-byte alignment per slot.
 
 Outputs stay bit-identical to a fresh ``DuetEngine.run`` throughout.
 """
@@ -31,6 +32,7 @@ from repro.bench import format_table
 from repro.core import DuetEngine
 from repro.ir import make_inputs
 from repro.models import build_model
+from repro.runtime.memory import ALIGN, live_peak
 
 N_REQUESTS = 30
 MODEL = "wide_deep"
@@ -72,6 +74,8 @@ def test_session_reuse_beats_per_call_runs(machine):
     allocations_before = session.arena.allocations
     session.run(feeds)
     allocations_after = session.arena.allocations
+    arena = session.arena
+    peak = live_peak(arena.slots)
 
     emit(
         format_table(
@@ -94,7 +98,9 @@ def test_session_reuse_beats_per_call_runs(machine):
             ],
             title=(
                 f"Session reuse — {MODEL} (tiny), {N_REQUESTS} requests "
-                f"(session setup {setup_s * 1e3:.1f} ms, paid once)"
+                f"(session setup {setup_s * 1e3:.1f} ms, paid once; pool "
+                f"{arena.nbytes} B for a {peak} B liveness peak over "
+                f"{arena.buffer_count} slots)"
             ),
         )
     )
@@ -111,6 +117,8 @@ def test_session_reuse_beats_per_call_runs(machine):
         allocations_before,
         allocations_after,
     )
+    # The pool is the liveness peak, up to each slot's alignment.
+    assert arena.nbytes <= peak + ALIGN * arena.buffer_count, (arena.nbytes, peak)
     # Bit-identical outputs to the per-call baseline.
     for got, want in zip(results[-1].outputs, baseline_outputs):
         np.testing.assert_array_equal(got, want)

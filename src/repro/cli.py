@@ -126,13 +126,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
         feeds = make_inputs(graph)
         session = engine.session(opt)
-        session.run(feeds)  # warm-up: weights + arena, paid once
+        session.run(feeds)  # warm-up: first touch of the pool, paid once
         results = session.run_many([feeds] * args.session_runs)
         per_request = sum(r.wall_time_s for r in results) / len(results)
         print(
             f"session serving ({args.session_runs} requests): "
             f"{per_request * 1e3:.3f} ms/request, "
-            f"arena {session.arena.buffer_count} buffers "
+            f"arena {session.arena.buffer_count} slots in "
+            f"{session.arena.nbytes / 2**10:.1f} KiB "
             f"({session.arena.allocations} allocations total)"
         )
     return 0

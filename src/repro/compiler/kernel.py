@@ -79,8 +79,13 @@ class CompiledKernel:
         exact: True when this kernel is bit-identical to the NumPy
             reference (always True for numpy; per the renderer's
             order-preserving analysis for native).
-        run_into: optional zero-copy entry writing into a caller-owned
-            contiguous buffer (native kernels only).
+        run_into: optional zero-copy entry ``run_into(args, out)``
+            writing the result into ``out``, a caller-owned C-contiguous
+            buffer of the output's declared type, and returning ``out``
+            — bit-identical to ``np.copyto(out, fn(args))``.  Native
+            kernels have one, and so do NumPy kernels whose last op has
+            an ``out=`` form; a NumPy one handed arguments of other
+            types than declared returns its result unwritten instead.
     """
 
     name: str

@@ -95,7 +95,50 @@ def _numpy_kernel(graph: Graph, group: FusionGroup, target: Target) -> CompiledK
         fn=fn,
         cost=_group_cost(graph, group),
         target_name=target.name,
+        run_into=_numpy_run_into(graph, schedule, arg_index, output_id),
     )
+
+
+def _numpy_run_into(graph: Graph, schedule, arg_index, output_id: str):
+    """The ``run_into`` of a NumPy kernel whose last op has an ``out=``
+    form, or ``None``.
+
+    The form applies when the last op is the group's output and it and
+    all its inputs are declared with one floating dtype: every op in the
+    form's table then runs the loop that keeps that dtype, so writing
+    through ``out=`` is bit-identical to computing and copying in.  A
+    call whose last-op inputs are not their declared types computes
+    without ``out=`` and returns the result for the caller to store.
+    """
+    nid, compute, inputs, attrs = schedule[-1]
+    into = get_op(graph.node(nid).op).compute_into
+    dtype = graph.node(nid).ty.dtype
+    if (
+        into is None
+        or nid != output_id
+        or not np.issubdtype(dtype.to_numpy(), np.floating)
+        or any(graph.node(i).ty.dtype != dtype for i in inputs)
+    ):
+        return None
+    declared = [
+        (tuple(graph.node(i).ty.shape), graph.node(i).ty.dtype.to_numpy())
+        for i in inputs
+    ]
+    head = schedule[:-1]
+
+    def run_into(args: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        env: dict[str, np.ndarray] = {
+            src: args[i] for src, i in arg_index.items()
+        }
+        for hid, hcompute, hinputs, hattrs in head:
+            env[hid] = hcompute([env[i] for i in hinputs], hattrs)
+        xs = [env[i] for i in inputs]
+        for x, (shape, dt) in zip(xs, declared):
+            if x.shape != shape or x.dtype != dt:
+                return compute(xs, attrs)
+        return into(xs, attrs, out)
+
+    return run_into
 
 
 def _select_native(
@@ -109,7 +152,7 @@ def _select_native(
     from repro.compiler.native import build_native_kernels
 
     picks = build_native_kernels(
-        graph, [(g, k.input_ids, k.fn) for g, k in zip(groups, kernels)], native
+        graph, [(g, k.input_ids, k) for g, k in zip(groups, kernels)], native
     )
     return [
         replace(kernel, reason=reason)

@@ -1,7 +1,7 @@
 """Native C backend for fused kernels.
 
 ``build_native_kernels`` is the single entry the lowering pass calls,
-once per module, with every fusion group and the NumPy closure lowering
+once per module, with every fusion group and the NumPy kernel lowering
 has already built for it.  The flow::
 
     render every group (pure Python; NativeUnsupported -> rejected)
@@ -45,6 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.compiler.fusion import FusionGroup
+from repro.compiler.kernel import CompiledKernel
 from repro.compiler.native.autotune import GEMM_TILES, run_contest
 from repro.compiler.native.cache import (
     CacheStats,
@@ -192,7 +193,7 @@ class _Job:
     index: int
     base_sig: str
     arg_specs: list[tuple[tuple[int, ...], str]]
-    closure: Callable[[Sequence[np.ndarray]], np.ndarray]
+    closure: CompiledKernel
     #: tile -> (rendered variant, its cache signature), for every
     #: variant this kernel may still turn out to need.
     needed: dict[tuple[int, int], tuple[RenderedKernel, str]]
@@ -200,14 +201,15 @@ class _Job:
 
 def build_native_kernels(
     graph: Graph,
-    groups: Sequence[tuple[FusionGroup, Sequence[str], Callable]],
+    groups: Sequence[tuple[FusionGroup, Sequence[str], CompiledKernel]],
     options: NativeOptions | None = None,
     clock: Callable[[], float] | None = None,
 ) -> list[tuple[NativeKernel | None, str]]:
     """Resolve every fusion group of one module to its backend.
 
-    ``groups`` holds ``(group, external input ids, NumPy closure)`` per
-    kernel.  Returns, in the same order, the native kernel (``None`` to
+    ``groups`` holds ``(group, external input ids, NumPy kernel)`` per
+    kernel; the NumPy kernel is what a contest times the C variants
+    against.  Returns, in the same order, the native kernel (``None`` to
     keep the closure) and why: ``"native"``, ``"native: pinned"``,
     ``"numpy: lost contest"``, ``"numpy: renderer rejected"``,
     ``"numpy: build failed"`` or ``"numpy: no compiler"``.  ``clock``

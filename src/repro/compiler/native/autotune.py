@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.compiler.kernel import CompiledKernel
 from repro.compiler.native.cache import NativeCache
 from repro.compiler.native.runtime import NativeKernel
 
@@ -120,16 +121,17 @@ def run_contest(
     base_sig: str,
     cache: NativeCache,
     variants: Mapping[tuple[int, int], NativeKernel],
-    closure: Callable[[Sequence[np.ndarray]], np.ndarray],
+    closure: CompiledKernel,
     arg_specs: Sequence[tuple[tuple[int, ...], str]],
     clock: Callable[[], float] | None = None,
 ) -> tuple[str, tuple[int, int], bool]:
     """Time one kernel's C ``variants`` (at least one) against its NumPy
-    ``closure``; settle and return ``(backend, tile, confirm)``.
+    kernel ``closure``; settle and return ``(backend, tile, confirm)``.
 
     Each candidate is timed the way a session runs it: a C kernel writes
-    a preallocated output through ``run_into``; the closure computes and
-    its result is copied into that buffer, as the arena stores it.  The
+    a preallocated output through ``run_into``; the NumPy kernel does too
+    when its last op has an ``out=`` form, and otherwise computes and its
+    result is copied into that buffer, as the arena copies it in.  The
     best-of samples decide, NumPy keeps a tie, and ``tile`` is the
     fastest C variant whichever backend won.  ``clock`` is the timer
     (``time.perf_counter``); candidates are visited in ``variants``
@@ -149,8 +151,12 @@ def run_contest(
     out = np.empty(rendered.out_shape, dtype=np.dtype(rendered.out_dtype))
     out.fill(0)  # touch every page before anything is timed writing it
 
-    def run_numpy() -> None:
-        np.copyto(out, closure(args))
+    if closure.run_into is not None:
+        run_numpy = partial(closure.run_into, args, out)
+    else:
+
+        def run_numpy() -> None:
+            np.copyto(out, closure(args))
 
     runners: dict[str, Callable[[], object]] = {
         f"{mr}x{nr}": partial(kernel.run_into, args, out)

@@ -271,7 +271,6 @@ class DuetEngine:
         graph_or_opt: Graph | DuetOptimization,
         profile_path: str | None = None,
         trace_sink=None,
-        preallocate: bool = True,
     ) -> EngineSession:
         """Open a reusable serving session for one model.
 
@@ -280,7 +279,7 @@ class DuetEngine:
         :class:`~repro.runtime.session.EngineSession` that serves
         repeated ``run(inputs)`` calls without re-entering the
         partitioner, profiler, or scheduler, with intermediate tensors
-        preallocated in a reusable arena.
+        in one liveness-planned pool.
 
         Args:
             graph_or_opt: the model, or an optimization from
@@ -290,7 +289,6 @@ class DuetEngine:
             trace_sink: optional callable receiving a structured
                 :class:`~repro.runtime.core.ExecutionEvent` per task
                 start/finish/error.
-            preallocate: size the arena up front from declared node types.
         """
         if isinstance(graph_or_opt, DuetOptimization):
             opt = graph_or_opt
@@ -300,7 +298,6 @@ class DuetEngine:
             opt.plan,
             validate=self._should_validate(),
             trace_sink=trace_sink,
-            preallocate=preallocate,
             opt=opt,
         )
 

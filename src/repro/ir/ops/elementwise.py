@@ -44,7 +44,7 @@ def _same_type(in_types: Sequence[TensorType], attrs: Attrs) -> TensorType:
     return in_types[0]
 
 
-def _register_binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+def _register_binary(name: str, fn: np.ufunc) -> None:
     register_op(
         OpSpec(
             name=name,
@@ -53,13 +53,23 @@ def _register_binary(name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarra
             kind=OpKind.ELEMWISE,
             infer_type=broadcast_types,
             compute=lambda xs, attrs, _fn=fn: _fn(xs[0], xs[1]),
+            compute_into=lambda xs, attrs, out, _fn=fn: _fn(
+                xs[0], xs[1], out=out, casting="no"
+            ),
         )
     )
 
 
 def _register_unary(
-    name: str, fn: Callable[[np.ndarray], np.ndarray], flops_per_elem: float = 1.0
+    name: str,
+    fn: Callable[[np.ndarray], np.ndarray],
+    flops_per_elem: float = 1.0,
+    into: Callable | None = None,
 ) -> None:
+    """A unary op; a ufunc ``fn`` (or an explicit ``into``) also gets the
+    ``out=`` form."""
+    if into is None and isinstance(fn, np.ufunc):
+        into = lambda xs, attrs, out, _fn=fn: _fn(xs[0], out=out, casting="no")
     register_op(
         OpSpec(
             name=name,
@@ -69,6 +79,7 @@ def _register_unary(
             infer_type=_same_type,
             compute=lambda xs, attrs, _fn=fn: _fn(xs[0]),
             flops=lambda i, o, a, _c=flops_per_elem: _c * o.num_elements,
+            compute_into=into,
         )
     )
 
@@ -80,7 +91,11 @@ _register_binary("divide", np.divide)
 _register_binary("maximum", np.maximum)
 _register_binary("minimum", np.minimum)
 
-_register_unary("relu", lambda x: np.maximum(x, 0))
+_register_unary(
+    "relu",
+    lambda x: np.maximum(x, 0),
+    into=lambda xs, attrs, out: np.maximum(xs[0], 0, out=out, casting="no"),
+)
 _register_unary("negative", np.negative)
 _register_unary("abs", np.abs)
 _register_unary("sqrt", np.sqrt, flops_per_elem=4.0)
@@ -150,14 +165,25 @@ def _bias_add_infer(in_types: Sequence[TensorType], attrs: Attrs) -> TensorType:
     return data
 
 
-def _bias_add(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
-    data, bias = xs
+def _bias_view(data: np.ndarray, bias: np.ndarray, attrs: Attrs) -> np.ndarray:
     axis = int(attrs.get("axis", -1))
     if axis < 0:
         axis += data.ndim
     view = [1] * data.ndim
     view[axis] = bias.shape[0]
-    return data + bias.reshape(view)
+    return bias.reshape(view)
+
+
+def _bias_add(xs: Sequence[np.ndarray], attrs: Attrs) -> np.ndarray:
+    data, bias = xs
+    return data + _bias_view(data, bias, attrs)
+
+
+def _bias_add_into(
+    xs: Sequence[np.ndarray], attrs: Attrs, out: np.ndarray
+) -> np.ndarray:
+    data, bias = xs
+    return np.add(data, _bias_view(data, bias, attrs), out=out, casting="no")
 
 
 register_op(
@@ -168,5 +194,6 @@ register_op(
         kind=OpKind.ELEMWISE,
         infer_type=_bias_add_infer,
         compute=_bias_add,
+        compute_into=_bias_add_into,
     )
 )

@@ -34,6 +34,7 @@ __all__ = [
 Attrs = Mapping[str, object]
 InferFn = Callable[[Sequence[TensorType], Attrs], TensorType]
 ComputeFn = Callable[[Sequence[np.ndarray], Attrs], np.ndarray]
+IntoFn = Callable[[Sequence[np.ndarray], Attrs, np.ndarray], np.ndarray]
 FlopsFn = Callable[[Sequence[TensorType], TensorType, Attrs], float]
 ParallelismFn = Callable[[Sequence[TensorType], TensorType, Attrs], float]
 StepsFn = Callable[[Sequence[TensorType], Attrs], int]
@@ -108,6 +109,11 @@ class OpSpec:
         sequential_steps: number of serially-dependent kernel launches the
             op lowers to (``seq_len`` for recurrent layers, 1 otherwise).
         kernels_per_step: distinct device kernels launched per step.
+        compute_into: optional ``compute_into(xs, attrs, out)`` writing
+            ``compute(xs, attrs)`` into ``out`` and returning it, bit for
+            bit, for inputs of ``out``'s floating dtype; it never casts
+            (``casting="no"``).  The NumPy backend uses it to write a
+            kernel's last op straight into its pool slot.
     """
 
     name: str
@@ -120,6 +126,7 @@ class OpSpec:
     parallelism: ParallelismFn = _default_parallelism
     sequential_steps: StepsFn = _default_steps
     kernels_per_step: int = 1
+    compute_into: IntoFn | None = None
 
 
 _REGISTRY: dict[str, OpSpec] = {}

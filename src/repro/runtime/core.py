@@ -273,12 +273,12 @@ def execute_kernels(
 ) -> dict:
     """Execute a task's kernels numerically; returns the value environment.
 
-    With an ``arena``, every kernel output lands in a preallocated
-    per-slot buffer so repeated runs reuse stable storage instead of
-    allocating fresh arrays (values are bit-identical either way).
-    Native kernels write straight into the arena slot via ``run_into``
-    — no intermediate allocation, no copy; NumPy closures compute then
-    copy in, as before.
+    With an ``arena``, every kernel output lands in its slot of the
+    arena's planned pool, so repeated runs reuse stable storage instead
+    of allocating fresh arrays (values are bit-identical either way).
+    Kernels with a ``run_into`` (native kernels, and NumPy kernels whose
+    last op has an ``out=`` form) write straight into the slot; every
+    other result is copied in.
     """
     env = dict(task.module.params)
     env.update(feeds)
@@ -286,21 +286,17 @@ def execute_kernels(
         for kernel in task.module.kernels:
             env[kernel.output_id] = kernel([env[i] for i in kernel.input_ids])
     else:
-        tid = task.task_id
-        for kernel in task.module.kernels:
+        slots = arena.task_slots(task.task_id)
+        for kernel, slot in zip(task.module.kernels, slots):
             args = [env[i] for i in kernel.input_ids]
-            key = (tid, kernel.output_id)
-            if kernel.run_into is not None:
-                buf = arena.buffer(key, *_slot_spec(task, kernel))
-                env[kernel.output_id] = kernel.run_into(args, buf)
+            if kernel.run_into is None:
+                value = kernel(args)
             else:
-                env[kernel.output_id] = arena.store(key, kernel(args))
+                value = kernel.run_into(args, slot)
+            if value is not slot:
+                value = arena.put(slot, value)
+            env[kernel.output_id] = value
     return env
-
-
-def _slot_spec(task: TaskSpec, kernel) -> tuple[tuple[int, ...], np.dtype]:
-    ty = task.module.graph.node(kernel.output_id).ty
-    return tuple(ty.shape), ty.dtype.to_numpy()
 
 
 # ----------------------------------------------------------------------
@@ -707,8 +703,10 @@ class DispatchKernel:
             outermost first (retry, tracing, validation...).
         fault_injector: optional deterministic chaos hooks, consulted at
             every attempt start and every cross-device tensor hand-off.
-        arena: optional :class:`~repro.runtime.memory.TensorArena`; when
-            given, kernel outputs land in preallocated reusable buffers.
+        arena: optional :class:`~repro.runtime.memory.TensorArena`
+            planned for ``plan``; when given, kernel outputs land in its
+            pool (inline dispatch only: the pool is planned in plan
+            order).
         validate_transfers: install the non-finite transfer guard after
             feed resolution.
     """
@@ -727,6 +725,13 @@ class DispatchKernel:
         self.workers = workers or ThreadedWorkers()
         self.middleware = list(middleware)
         self.fault_injector = fault_injector
+        if arena is not None and (
+            arena.plan is not plan or not isinstance(self.workers, InlineWorkers)
+        ):
+            raise ExecutionError(
+                "an arena serves the inline dispatch of the plan it was "
+                "planned for"
+            )
         self.arena = arena
         self.validate_transfers = validate_transfers
         self.devices = plan_worker_devices(plan)

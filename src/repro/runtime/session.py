@@ -15,9 +15,10 @@ partition/profile/schedule pipeline — on every call.  An
   mid-request): the plan's missing weights are generated in one batch
   into the compiler's :class:`~repro.ir.weights.WeightStore`, which
   every module of the plan reads from;
-* intermediate tensors live in a preallocated
-  :class:`~repro.runtime.memory.TensorArena`, so steady-state requests
-  reuse stable buffers instead of allocating.
+* intermediate tensors live in one
+  :class:`~repro.runtime.memory.TensorArena` pool, planned from the
+  plan's live ranges when the session is built: outputs whose live
+  ranges never overlap share bytes, and requests allocate nothing.
 
 ``run(inputs)`` then costs one inline dispatch: resolve feeds, execute
 kernels, collect outputs.  It returns the kernel's
@@ -72,8 +73,6 @@ class EngineSession:
         trace_sink: optional callable receiving a structured
             :class:`~repro.runtime.core.ExecutionEvent` for every task
             start/finish/error.
-        preallocate: size the arena from the plan's declared node types
-            up front so even the first request allocates nothing.
         opt: the originating optimization, kept for introspection
             (``session.opt``) when built through the engine.
         middleware: extra policy middleware (retry, metrics, deadlines)
@@ -93,7 +92,6 @@ class EngineSession:
         *,
         validate: bool = False,
         trace_sink: Callable[[ExecutionEvent], None] | None = None,
-        preallocate: bool = True,
         opt: "DuetOptimization | None" = None,
         middleware: Iterable[Middleware] = (),
         fault_injector: "FaultInjector | None" = None,
@@ -102,9 +100,7 @@ class EngineSession:
         self.plan = plan
         self.opt = opt
         load_params(task.module for task in plan.tasks)
-        self.arena = TensorArena()
-        if preallocate:
-            self.arena.preallocate(plan)
+        self.arena = TensorArena(plan)
         stack: list[Middleware] = list(middleware)
         if trace_sink is not None:
             stack.append(TracingMiddleware(trace_sink))
@@ -136,9 +132,10 @@ class EngineSession:
         (``checkpoint=...``, inputs are carried inside it) continues
         from the completed-phase frontier.  The session lock is released
         while suspended, so the same session may serve other (e.g.
-        higher-priority) requests in between; their arena reuse cannot
-        perturb the checkpoint (its values are detached copies), and the
-        eventual outputs are bit-identical to an uninterrupted run.
+        higher-priority) requests in between; they overwrite the whole
+        pool, which cannot perturb the checkpoint (its values are
+        detached copies), and the eventual outputs are bit-identical to
+        an uninterrupted run.
         """
         with self._lock:
             outcome = self._kernel.run(

@@ -16,13 +16,14 @@ execution path and demanding exact agreement:
   (overlap changes the virtual clock, never the data);
 * the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads);
 * the unified :class:`~repro.runtime.core.DispatchKernel` driven
-  directly with the inline worker strategy and an arena — the
-  configuration :class:`~repro.runtime.session.EngineSession` serves
-  repeated requests with;
+  directly with the inline worker strategy and the plan's planned
+  :class:`~repro.runtime.memory.TensorArena` pool — the configuration
+  :class:`~repro.runtime.session.EngineSession` serves repeated
+  requests with;
 * the same kernel's :meth:`~repro.runtime.core.DispatchKernel.run`
   given an always-true ``should_preempt`` predicate, forced
   to suspend at **every** plan phase boundary with an interloping
-  full dispatch clobbering the shared arena between segments — the
+  full dispatch overwriting the whole pool between segments — the
   serving frontend's phase-boundary preemption path, which must resume
   from its checkpointed frontier bit-identically.
 
@@ -463,7 +464,7 @@ def run_differential(
             # configuration, plus a check that buffer reuse on the second
             # request does not perturb the numerics.
             kernel = DispatchKernel(
-                plan, workers=InlineWorkers(), arena=TensorArena()
+                plan, workers=InlineWorkers(), arena=TensorArena(plan)
             )
             first = [np.copy(o) for o in kernel.run(feeds).outputs]
             result = kernel.run(feeds)
@@ -487,13 +488,13 @@ def run_differential(
             # what a higher-priority request does to a preempted one.
             # The checkpointed frontier must survive the arena clobber.
             kernel = DispatchKernel(
-                plan, workers=InlineWorkers(), arena=TensorArena()
+                plan, workers=InlineWorkers(), arena=TensorArena(plan)
             )
             hops = 0
             out = kernel.run(feeds, should_preempt=lambda: True)
             while isinstance(out, PhaseCheckpoint):
                 hops += 1
-                kernel.run(feeds)  # interloper clobbers the arena
+                kernel.run(feeds)  # interloper overwrites the whole pool
                 out = kernel.run(should_preempt=lambda: True, checkpoint=out)
             outcome.outputs = out.outputs
             outcome.task_order = out.task_order

@@ -136,3 +136,68 @@ class TestCompileGraph:
         m2 = compile_graph(g, CPU_TARGET, param_seed=2).module
         feeds = make_inputs(g)
         assert not np.allclose(m1.run(feeds)[0], m2.run(feeds)[0])
+
+
+class TestNumpyRunInto:
+    """A NumPy kernel whose last op has an ``out=`` form writes into the
+    caller's buffer exactly what computing and copying in would."""
+
+    @staticmethod
+    def _args(graph, kernel, rng, dtype=None):
+        return [
+            rng.standard_normal(graph.node(i).ty.shape).astype(
+                dtype or graph.node(i).ty.dtype.to_numpy()
+            )
+            for i in kernel.input_ids
+        ]
+
+    def test_zoo_kernels_write_the_closures_bits(self, tiny_model):
+        graph = tiny_model
+        module = lower(graph, CPU_TARGET)
+        rng = np.random.default_rng(0)
+        covered = 0
+        for kernel in module.kernels:
+            last = graph.node(kernel.node_ids[-1])
+            if kernel.run_into is None:
+                continue
+            covered += 1
+            assert last.id == kernel.output_id
+            args = [
+                module.params[i] if i in module.params else a
+                for i, a in zip(kernel.input_ids, self._args(graph, kernel, rng))
+            ]
+            ty = graph.node(kernel.output_id).ty
+            out = np.full(ty.shape, np.nan, dtype=ty.dtype.to_numpy())
+            with np.errstate(all="ignore"):
+                want = np.empty_like(out)
+                np.copyto(want, kernel(args))
+                assert kernel.run_into(args, out) is out
+            bits = {2: np.uint16, 4: np.uint32, 8: np.uint64}[out.itemsize]
+            np.testing.assert_array_equal(out.view(bits), want.view(bits))
+        assert covered > 0
+
+    def test_only_out_form_tails_get_run_into(self, diamond_graph):
+        module = lower(diamond_graph, CPU_TARGET, fuse=False)
+        tails = {
+            k.output_id: k.run_into is not None for k in module.kernels
+        }
+        assert tails == {"a": True, "left": True, "right": False, "join": True}
+
+    def test_integer_tail_has_no_run_into(self):
+        from repro.ir.dtype import INT32
+
+        b = GraphBuilder("int_div")
+        x = b.input("x", (2, 3), dtype=INT32)
+        y = b.input("y", (2, 3), dtype=INT32)
+        (kernel,) = lower(b.build(b.op("divide", x, y)), CPU_TARGET).kernels
+        assert kernel.run_into is None  # int / int is float64 in NumPy
+
+    def test_misdeclared_arguments_come_back_unwritten(self, diamond_graph):
+        module = lower(diamond_graph, CPU_TARGET, fuse=False)
+        kernel = next(k for k in module.kernels if k.output_id == "join")
+        args = self._args(diamond_graph, kernel, np.random.default_rng(1), np.float64)
+        out = np.zeros((2, 8), dtype=np.float32)
+        got = kernel.run_into(args, out)
+        assert got is not out and got.dtype == np.float64
+        np.testing.assert_array_equal(got, kernel(args))
+        assert not out.any()

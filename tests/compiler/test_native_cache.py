@@ -143,11 +143,11 @@ def _contest(graph, cache, durations, **opt_kwargs):
     """Resolve the first group under a scripted clock; returns the
     ``(kernel | None, reason)`` pick and the clock."""
     opt, group, external = _first_group(graph)
-    closure = build_kernel(opt, group, Target("cpu")).fn
+    numpy_kernel = build_kernel(opt, group, Target("cpu"))
     clock = ScriptedClock(durations)
     (pick,) = build_native_kernels(
         opt,
-        [(group, external, closure)],
+        [(group, external, numpy_kernel)],
         NativeOptions(cache=cache, **opt_kwargs),
         clock=clock,
     )
@@ -358,8 +358,22 @@ def test_contest_loser_is_not_the_kernel(tmp_path, durations, backend):
     opt, group, _ = _first_group(graph)
     compiled = build_kernel(opt, group, NATIVE_CPU, native=NativeOptions(cache=warm))
     assert compiled.backend == backend and compiled.reason == reason
+    assert isinstance(compiled.fn, runtime_mod.NativeKernel) == (backend == "native")
     if backend == "numpy":
-        assert compiled.exact and compiled.run_into is None
+        # The closure, whose last op (relu) has an ``out=`` form: its
+        # ``run_into`` writes exactly the closure's bits.
+        assert compiled.exact
+        rng = np.random.default_rng(0)
+        args = [
+            rng.standard_normal(opt.node(i).ty.shape).astype(np.float32)
+            for i in compiled.input_ids
+        ]
+        closure = build_kernel(opt, group, Target("cpu")).fn
+        out = np.full(opt.node(compiled.output_id).ty.shape, np.nan, np.float32)
+        assert compiled.run_into(args, out) is out
+        np.testing.assert_array_equal(
+            out.view(np.uint32), closure(args).view(np.uint32)
+        )
     else:
         assert compiled.run_into is not None
 

@@ -145,3 +145,90 @@ class TestBiasAdd:
     def test_non_vector_bias_raises(self):
         with pytest.raises(ShapeError):
             _infer("bias_add", [TensorType((2, 5)), TensorType((5, 1))])
+
+
+# ----------------------------------------------------------------------
+# The ``out=`` form: bit-identical to computing and copying in
+
+#: Every op with an ``out=`` form, and its arity.
+OUT_FORM_OPS = {
+    "add": 2,
+    "subtract": 2,
+    "multiply": 2,
+    "divide": 2,
+    "maximum": 2,
+    "minimum": 2,
+    "bias_add": 2,
+    "relu": 1,
+    "negative": 1,
+    "abs": 1,
+    "sqrt": 1,
+    "exp": 1,
+    "log": 1,
+    "tanh": 1,
+}
+
+_BITS = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _awkward(rng, shape, dtype):
+    """Normal values with NaN, -0.0, +0.0, +-inf and negatives mixed in."""
+    x = rng.standard_normal(shape) * 3.0
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, -1.0])
+    mask = rng.random(shape) < 0.3
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    return x.astype(dtype)
+
+
+def _out_form_case(rng, name, dtype):
+    """Random arguments (broadcasting ones for binary ops) and attrs."""
+    if name == "bias_add":
+        shape = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(1, 5)))
+        axis = int(rng.integers(-len(shape), len(shape)))
+        return [_awkward(rng, shape, dtype), _awkward(rng, (shape[axis],), dtype)], {
+            "axis": axis
+        }
+    shape = tuple(int(d) for d in rng.integers(1, 6, size=rng.integers(1, 4)))
+    if OUT_FORM_OPS[name] == 1:
+        return [_awkward(rng, shape, dtype)], {}
+    other = tuple(d if rng.random() < 0.6 else 1 for d in shape)
+    other = other[int(rng.integers(0, len(other))) :]
+    args = [_awkward(rng, shape, dtype), _awkward(rng, other, dtype)]
+    if rng.random() < 0.5:
+        args.reverse()
+    return args, {}
+
+
+class TestOutForm:
+    def test_the_table(self):
+        from repro.ir.ops import list_ops
+
+        assert {
+            name for name in list_ops() if get_op(name).compute_into is not None
+        } == set(OUT_FORM_OPS)
+
+    @pytest.mark.parametrize("name", sorted(OUT_FORM_OPS))
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_bit_identical_to_copy_in(self, name, dtype):
+        spec = get_op(name)
+        rng = np.random.default_rng([len(name), np.dtype(dtype).itemsize])
+        bits = _BITS[np.dtype(dtype).itemsize]
+        for _ in range(25):
+            args, attrs = _out_form_case(rng, name, dtype)
+            with np.errstate(all="ignore"):
+                want = spec.compute(args, attrs)
+                copied = np.empty(want.shape, dtype=dtype)
+                np.copyto(copied, want)
+                written = np.full(want.shape, 7, dtype=dtype)
+                assert spec.compute_into(args, attrs, written) is written
+            assert want.dtype == written.dtype
+            np.testing.assert_array_equal(written.view(bits), copied.view(bits))
+
+    @pytest.mark.parametrize("name", sorted(OUT_FORM_OPS))
+    def test_never_casts(self, name):
+        args, attrs = _out_form_case(np.random.default_rng(0), name, np.float64)
+        with np.errstate(all="ignore"):
+            shape = get_op(name).compute(args, attrs).shape
+            out = np.empty(shape, dtype=np.float32)
+            with pytest.raises(TypeError):
+                get_op(name).compute_into(args, attrs, out)

@@ -158,7 +158,7 @@ class TestWorkerStrategies:
     def test_arena_stops_allocating_and_outputs_match(self, plan_and_graph):
         plan, graph = plan_and_graph
         feeds = make_inputs(graph)
-        arena = TensorArena()
+        arena = TensorArena(plan)
         kernel = DispatchKernel(plan, workers=InlineWorkers(), arena=arena)
         first = [np.copy(o) for o in kernel.run(feeds).outputs]
         allocations = arena.allocations

@@ -61,7 +61,7 @@ class TestKernelPreemption:
     def test_always_preempt_suspends_at_every_boundary(self, served):
         engine, opt, feeds, ref = served
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         boundaries = phase_boundaries(opt.plan)
         assert boundaries >= 1  # wide_deep is the multi-phase model
@@ -85,13 +85,13 @@ class TestKernelPreemption:
         engine, opt, feeds, ref = served
         other = make_inputs(opt.graph, seed=99)
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         out = kernel.run(feeds, should_preempt=lambda: True)
         suspensions = 0
         while isinstance(out, PhaseCheckpoint):
             suspensions += 1
-            kernel.run(other)  # interloper overwrites the arena buffers
+            kernel.run(other)  # interloper overwrites the whole pool
             out = kernel.run(should_preempt=lambda: True, checkpoint=out)
         assert suspensions >= 1
         for got, want in zip(out.outputs, ref):
@@ -100,7 +100,7 @@ class TestKernelPreemption:
     def test_predicate_consulted_once_per_boundary(self, served):
         engine, opt, feeds, ref = served
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         calls = []
 
@@ -115,7 +115,7 @@ class TestKernelPreemption:
     def test_never_preempt_matches_plain_run(self, served):
         engine, opt, feeds, ref = served
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         out = kernel.run(feeds, should_preempt=lambda: False)
         for got, want in zip(out.outputs, ref):
@@ -131,7 +131,7 @@ class TestKernelPreemption:
     def test_fresh_start_requires_inputs(self, served):
         engine, opt, feeds, ref = served
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         with pytest.raises(ExecutionError, match="inputs"):
             kernel.run(should_preempt=lambda: True)
@@ -145,7 +145,7 @@ class TestKernelPreemption:
             pytest.skip("siamese tiny gained a second phase")
         feeds = make_inputs(graph)
         kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena()
+            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
         )
         out = kernel.run(feeds, should_preempt=lambda: True)
         assert not isinstance(out, PhaseCheckpoint)

@@ -56,9 +56,9 @@ class TestEngineSession:
 
     def test_preallocation_covers_first_request(self, served):
         engine, graph, feeds = served
-        session = engine.session(graph, preallocate=True)
+        session = engine.session(graph)
         before = session.arena.allocations
-        assert before > 0  # sized from declared node types at construction
+        assert before == 1  # one pool, planned at construction
         session.run(feeds)
         assert session.arena.allocations == before
 
