@@ -1,5 +1,22 @@
 """Native C backend vs NumPy closures over the model zoo.
 
+The scoreboard times each model the way serving runs it: the whole-model
+module as a one-task plan (:func:`~repro.runtime.plan.single_device_plan`
+on ``"cpu"``) through an :class:`~repro.runtime.session.EngineSession`,
+so kernels write into the session's arena (native kernels and NumPy
+kernels with an ``out=`` form in place) exactly as the per-kernel
+contest timed them.  One row per model: best-of-N wall time of the NumPy
+and the native-backend session (rendered C where it measured faster,
+the closure elsewhere) on identical feeds, how its kernels resolved
+(native / NumPy by contest / never reached a contest), and the observed
+ULP drift against the two-class policy budget.
+
+Timing uses best-of-``repeats`` (min), not mean: on a shared CI box the
+minimum is the stable estimator of the achievable time, and the speedup
+ratio of two minima is far less noisy than the ratio of means.  The
+NumPy and native runs are interleaved round-robin so a transient stall
+cannot systematically penalize one side.
+
 Acceptance criteria for the native backend, asserted rather than merely
 reported:
 
@@ -19,18 +36,108 @@ reported:
   same models the scoreboard times.
 """
 
+import time
+from typing import Sequence
+
 import pytest
 from conftest import emit
 
-from repro.bench import format_table, native_scoreboard
+from repro.bench import format_table
 from repro.compiler.native import (
     NativeCache,
     NativeOptions,
+    graph_ulp_budget,
+    max_ulp_diff,
     native_available,
 )
-from repro.devices import default_machine
+from repro.compiler.pipeline import Compiler
+from repro.ir.interpreter import make_inputs
 from repro.models import build_model
+from repro.runtime.plan import single_device_plan
+from repro.runtime.session import EngineSession
 from repro.testing.oracle import run_differential
+
+#: CNN (vgg, resnet, squeezenet, mobilenet) + FFN (wide_deep, mtdnn) +
+#: RNN-ish (siamese) coverage — the full tiny zoo.
+SCOREBOARD_MODELS = (
+    "wide_deep",
+    "siamese",
+    "mtdnn",
+    "resnet",
+    "vgg",
+    "squeezenet",
+    "mobilenet",
+)
+
+
+def _best_of_interleaved(fns: Sequence, repeats: int) -> list[float]:
+    """Best-of-``repeats`` per callable, visiting them round-robin so a
+    transient CI stall degrades one sample of each contender rather
+    than every sample of one of them."""
+    for fn in fns:  # warm: ctypes setup / first touch of the arena
+        fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def native_scoreboard(
+    models: Sequence[str] = SCOREBOARD_MODELS,
+    repeats: int = 5,
+    tiny: bool = True,
+    native: NativeOptions | None = None,
+    seed: int = 0,
+) -> list[dict]:
+    """Measure every model both ways and return table-ready rows.
+
+    Pass a :class:`NativeOptions` with a dedicated cache to make the
+    compile/hit counters attributable to this run (the warm-cache
+    zero-compile assertion below does exactly that).
+    """
+    native = native or NativeOptions(autotune=True)
+    numpy_compiler = Compiler()
+    native_compiler = Compiler(backend="native", native=native)
+
+    rows: list[dict] = []
+    for name in models:
+        graph = build_model(name, tiny=tiny)
+        feeds = make_inputs(graph, seed=seed)
+        mod_nat = native_compiler.compile_cpu(graph)
+        sess_np = EngineSession(
+            single_device_plan(numpy_compiler.compile_cpu(graph), "cpu")
+        )
+        sess_nat = EngineSession(single_device_plan(mod_nat, "cpu"))
+
+        out_np = sess_np.run(feeds).outputs
+        out_nat = sess_nat.run(feeds).outputs
+        drift = max(
+            (max_ulp_diff(a, b) for a, b in zip(out_np, out_nat)), default=0.0
+        )
+        t_np, t_nat = _best_of_interleaved(
+            [lambda: sess_np.run(feeds), lambda: sess_nat.run(feeds)], repeats
+        )
+        n_native = sum(k.backend == "native" for k in mod_nat.kernels)
+        n_lost = sum(k.reason == "numpy: lost contest" for k in mod_nat.kernels)
+        rows.append(
+            {
+                "model": name,
+                "native": n_native,
+                "numpy_won": n_lost,
+                # Renderer rejected the group, or its build failed.
+                "rejected": len(mod_nat.kernels) - n_native - n_lost,
+                "numpy_ms": t_np * 1e3,
+                "native_ms": t_nat * 1e3,
+                "speedup": t_np / t_nat if t_nat > 0 else float("inf"),
+                "max_ulp": drift,
+                "ulp_budget": float(graph_ulp_budget(mod_nat.graph)),
+            }
+        )
+    return rows
+
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="native backend needs a C compiler"

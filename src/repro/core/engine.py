@@ -96,7 +96,6 @@ class DuetEngine:
 
     machine: Machine = field(default_factory=default_machine)
     compiler: Compiler = field(default_factory=Compiler)
-    profile_sample_runs: int = 0
     fallback_margin: float = 0.0  # require DUET to beat single-device by this fraction
     validate: bool | None = None  # None: honor the REPRO_VALIDATE env var
     # Schedule and price plans under the double-buffered transfer
@@ -193,7 +192,6 @@ class DuetEngine:
             profiler = CompilerAwareProfiler(
                 machine=self.machine,
                 compiler=self.compiler,
-                sample_runs=self.profile_sample_runs,
             )
             profiles = profiler.profile_partition(partition)
             if profile_path is not None:

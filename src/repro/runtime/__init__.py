@@ -5,12 +5,10 @@ from repro.runtime.core import (
     DispatchKernel,
     ExecutionEvent,
     FaultInjectionMiddleware,
-    InlineWorkers,
     InvariantMiddleware,
     MetricsMiddleware,
     RetryMiddleware,
     RetryPolicy,
-    ThreadedWorkers,
     TracingMiddleware,
     TransferGuardMiddleware,
 )
@@ -57,14 +55,12 @@ __all__ = [
     "FaultInjectionMiddleware",
     "FaultInjector",
     "FaultPlan",
-    "InlineWorkers",
     "InvariantMiddleware",
     "KernelFault",
     "MetricsMiddleware",
     "RetryMiddleware",
     "RetryPolicy",
     "StallFault",
-    "ThreadedWorkers",
     "TracingMiddleware",
     "TransferFault",
     "TransferGuardMiddleware",

@@ -1,20 +1,24 @@
-"""Unified runtime core: one dispatch kernel behind every executor.
+"""Unified runtime core: one dispatch program behind every executor.
 
 The paper's executor (§IV-D) is a single concept — device workers draining
 a dependency-ordered task queue, with tensors crossing devices between
-them.  This module implements that concept exactly once and lets every
-public execution path be a thin parameterization of it:
+them.  Every task runs on the device its plan names, so which inputs
+cross devices, where each value lives and which tasks wait on which are
+all fixed when the plan is built.  This module fixes them exactly once:
 
-* :class:`DispatchKernel` — the dispatch loop itself: task readiness
-  tracking (:class:`DispatchState`), cross-device transfer resolution
-  (:func:`resolve_feeds`), kernel execution (:func:`execute_kernels`),
-  output collection, and shutdown/join bookkeeping.
-* **Worker strategies** — :class:`ThreadedWorkers` runs one named daemon
-  thread per device (``duet-worker-<device>``) with synchronization
-  queues, exactly the paper's busy-loop workers; :class:`InlineWorkers`
-  executes tasks sequentially on the calling thread in plan (priority)
-  order — the strategy behind the simulator's numeric outputs and
-  :class:`~repro.runtime.session.EngineSession`.
+* :func:`lower_plan` — lowers a :class:`HeteroPlan` to a tuple of
+  :class:`Step` records (task, pre-bound feeds, output value slots,
+  producer count, consumer indices); a run's values live in one list
+  indexed by slot.
+* :func:`dispatch_stack` — the per-attempt pipeline each step runs
+  through: caller middleware, the fault injector's start hook, feed
+  resolution (where cross-device inputs meet the injector's transfer
+  hook), the transfer guard, then :func:`execute_kernels`.
+* :class:`DispatchKernel` — the inline executor: the steps in plan
+  (priority) order on the calling thread, with suspension points at
+  phase boundaries (:class:`PhaseCheckpoint`).  The same steps run on
+  one ``duet-worker-<device>`` thread per device in
+  :class:`~repro.runtime.threaded.ThreadedExecutor`.
 * **Policy middleware** — small objects wrapping one task *attempt*
   (``middleware(ctx, call_next)``), composed outermost-first:
   :class:`RetryMiddleware` (backoff + seeded jitter under a
@@ -25,15 +29,13 @@ public execution path be a thin parameterization of it:
   :class:`InvariantMiddleware` (``REPRO_VALIDATE``-style output
   shape/dtype checks).
 
-A failed threaded dispatch aborts: every worker failure lands in one
-:class:`~repro.errors.ExecutionError`.  Recovery from faults belongs to
-the serving lane (:mod:`repro.serving.frontend`), which retries through
+Recovery from faults belongs to the serving lane
+(:mod:`repro.serving.frontend`), which retries through
 :class:`RetryMiddleware` and rebuilds a slot on a survivor's standing
 plan after a device loss.
 
 Every wall-clock run returns one record, :class:`CoreResult`.  The entry
-points that remain each add one thing to :class:`DispatchKernel`:
-:class:`~repro.runtime.threaded.ThreadedExecutor` (threaded workers),
+points built on the inline kernel each add one thing to it:
 :class:`~repro.runtime.session.EngineSession` (an arena, caller-owned
 outputs) and :func:`~repro.runtime.simulator.simulate` (a virtual clock
 beside the inline outputs).
@@ -42,8 +44,6 @@ beside the inline outputs).
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -66,11 +66,11 @@ __all__ = [
     "plan_worker_devices",
     "ExecutionEvent",
     "TaskContext",
-    "DispatchState",
+    "Step",
+    "lower_plan",
     "CoreResult",
     "build_attempt_stack",
-    "InlineWorkers",
-    "ThreadedWorkers",
+    "dispatch_stack",
     "RetryPolicy",
     "RetryMiddleware",
     "TracingMiddleware",
@@ -114,6 +114,74 @@ class ExecutionEvent:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class Step:
+    """One task of a lowered plan, with everything its dispatch needs.
+
+    Attributes:
+        task: the task.
+        feeds: one ``(input id, source, crosses)`` per module input;
+            ``source`` is a model-input name (``str``, host-resident) or
+            a value slot (``int``), and ``crosses`` says whether the
+            tensor changes device on its way in.
+        outputs: the value slot of each module output, in
+            ``module.output_ids`` order.
+        n_producers: how many distinct steps feed this one.
+        consumers: indices of the distinct steps reading its outputs,
+            in plan order.
+    """
+
+    task: TaskSpec
+    feeds: tuple[tuple[str, str | int, bool], ...]
+    outputs: tuple[int, ...]
+    n_producers: int
+    consumers: tuple[int, ...]
+
+    def publish(self, env: Mapping[str, np.ndarray], values: list) -> None:
+        """Store the task's outputs from its value environment."""
+        for out_id, slot in zip(self.task.module.output_ids, self.outputs):
+            values[slot] = env[out_id]
+
+
+def lower_plan(plan: HeteroPlan) -> tuple[tuple[Step, ...], tuple[int, ...]]:
+    """Lower ``plan`` to its steps (plan order) and the value slot of
+    each plan output.  Each task output gets one slot, in plan order."""
+    index = {t.task_id: i for i, t in enumerate(plan.tasks)}
+    slot: dict[tuple[str, int], int] = {}
+    for task in plan.tasks:
+        for k in range(len(task.module.output_ids)):
+            slot[(task.task_id, k)] = len(slot)
+    consumers: list[list[int]] = [[] for _ in plan.tasks]
+    bound: list[tuple[tuple, int]] = []  # (feeds, producer count) per task
+    for i, task in enumerate(plan.tasks):
+        feeds, producers = [], set()
+        for input_id, src in task.sources.items():
+            if src.kind == "external":  # model inputs are host-resident
+                feeds.append((input_id, src.ref, task.device != "cpu"))
+                continue
+            j = index[src.ref]
+            producers.add(j)
+            crosses = plan.tasks[j].device != task.device
+            feeds.append((input_id, slot[(src.ref, src.output_index)], crosses))
+        for j in producers:
+            consumers[j].append(i)
+        bound.append((tuple(feeds), len(producers)))
+    steps = tuple(
+        Step(
+            task=task,
+            feeds=feeds,
+            outputs=tuple(
+                slot[(task.task_id, k)]
+                for k in range(len(task.module.output_ids))
+            ),
+            n_producers=n_producers,
+            consumers=tuple(consumers[i]),
+        )
+        for i, (task, (feeds, n_producers)) in enumerate(zip(plan.tasks, bound))
+    )
+    return steps, tuple(slot[ref] for ref in plan.outputs)
+
+
 @dataclass
 class TaskContext:
     """Mutable per-attempt context threaded through the middleware stack.
@@ -126,6 +194,9 @@ class TaskContext:
         feeds: resolved input tensors (set by the resolve stage).
         crossed: input ids whose tensors crossed devices this attempt.
         env: the kernel value environment after execution.
+        step: the lowered step of ``task``.
+        values: the run's value slots (read by the resolve stage).
+        inputs: the run's model inputs.
     """
 
     task: TaskSpec
@@ -134,46 +205,9 @@ class TaskContext:
     feeds: dict[str, np.ndarray] | None = None
     crossed: set[str] = field(default_factory=set)
     env: dict[str, np.ndarray] | None = None
-
-
-class DispatchState:
-    """Shared readiness/completion state of one dispatch, behind one lock.
-
-    Tracks remaining dependency counts, the dependents to trigger on each
-    completion, produced values, task→worker placements, completion
-    order, and worker-side errors.
-    """
-
-    def __init__(self, plan: HeteroPlan, template: "_DependencyTemplate | None" = None):
-        self.lock = threading.Lock()
-        self.values: dict[tuple[str, int], np.ndarray] = {}
-        self.task_worker: dict[str, str] = {}
-        self.task_order: list[str] = []
-        self.errors: list[BaseException] = []
-        template = template or _DependencyTemplate(plan)
-        self.remaining_deps = dict(template.remaining_deps)
-        self.dependents = template.dependents
-
-
-class _DependencyTemplate:
-    """Precomputed dependency structure of a plan, shared across runs.
-
-    :class:`~repro.runtime.session.EngineSession` reuses one template for
-    every request instead of re-walking the plan's edges per call.
-    """
-
-    def __init__(self, plan: HeteroPlan):
-        self.remaining_deps: dict[str, int] = {}
-        self.dependents: dict[str, list[TaskSpec]] = {
-            t.task_id: [] for t in plan.tasks
-        }
-        for task in plan.tasks:
-            deps = {
-                src.ref for src in task.sources.values() if src.kind == "task"
-            }
-            self.remaining_deps[task.task_id] = len(deps)
-            for dep in deps:
-                self.dependents[dep].append(task)
+    step: Step | None = None
+    values: list | None = None
+    inputs: Mapping[str, np.ndarray] | None = None
 
 
 @dataclass
@@ -182,7 +216,9 @@ class CoreResult:
 
     ``wall_time_s`` of an inline run counts active execution segments
     only; ``preemptions`` is how many times the run was suspended at a
-    phase boundary before it finished.
+    phase boundary before it finished.  ``task_worker`` and
+    ``task_order`` of an inline run are the plan's placement and order;
+    a threaded run records them as its workers finish.
     """
 
     outputs: list[np.ndarray]
@@ -199,15 +235,15 @@ class PhaseCheckpoint:
     Returned by :meth:`DispatchKernel.run` when the ``should_preempt``
     predicate fired between two tasks with different ``phase_index``.
     The checkpoint owns private *copies* of every
-    committed value — arena-backed dispatches share buffers across
+    published value — arena-backed dispatches share buffers across
     requests, so anything the interrupting request executes through the
     same kernel would otherwise clobber the suspended frontier.  Because
     the copies are exact and feed resolution at resume reads them
     verbatim, a resumed run is bit-identical to an uninterrupted one.
 
     Attributes:
-        state: the dispatch state as of the completed-phase frontier
-            (values detached from the arena).
+        values: the run's value slots as of the completed-phase frontier
+            (copies, detached from the arena; ``None`` where unset).
         next_index: index into ``plan.tasks`` of the first unexecuted
             task.
         inputs: the request's external feeds (resume reuses them).
@@ -217,7 +253,7 @@ class PhaseCheckpoint:
         preemptions: how many times this run has been suspended.
     """
 
-    state: DispatchState
+    values: list
     next_index: int
     inputs: Mapping[str, np.ndarray]
     phase_index: int
@@ -226,44 +262,34 @@ class PhaseCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Transfer resolution and kernel execution (the dispatch kernel's stages)
+# Feed resolution and kernel execution (the attempt's innermost stages)
 
 
-def resolve_feeds(
-    task: TaskSpec,
-    worker_device: str,
-    inputs: Mapping[str, np.ndarray],
-    values: Mapping[tuple[str, int], np.ndarray],
-    producer_device: Mapping[str, str],
-    injector: "FaultInjector | None" = None,
-    crossed: set[str] | None = None,
-) -> dict[str, np.ndarray]:
-    """Resolve a task's input tensors (caller must hold the state lock).
+def _resolve(ctx: TaskContext, injector: "FaultInjector | None") -> None:
+    """Bind a step's input tensors into ``ctx.feeds``.
 
-    Tensors crossing devices — external inputs consumed off-host, or task
-    outputs produced on the other worker — pass through the fault
-    injector's transfer hook, which may corrupt them or raise
-    :class:`~repro.errors.TransferError`.  When ``crossed`` is given, the
-    input ids that crossed devices are added to it (the transfer-guard
-    middleware validates exactly those).
+    Tensors crossing devices pass through the fault injector's transfer
+    hook, which may corrupt them or raise
+    :class:`~repro.errors.TransferError`; their input ids land in
+    ``ctx.crossed``, which the transfer-guard middleware validates.
     """
+    step, values, inputs = ctx.step, ctx.values, ctx.inputs
     feeds: dict[str, np.ndarray] = {}
-    for input_id, src in task.sources.items():
-        if src.kind == "external":
-            if src.ref not in inputs:
-                raise ExecutionError(f"missing external input {src.ref!r}")
-            value = np.asarray(inputs[src.ref])
-            produced_on = "cpu"  # model inputs are host-resident
+    crossed: set[str] = set()
+    for input_id, source, crosses in step.feeds:
+        if type(source) is int:
+            value = values[source]
+        elif source in inputs:
+            value = np.asarray(inputs[source])
         else:
-            value = values[(src.ref, src.output_index)]
-            produced_on = producer_device.get(src.ref, worker_device)
-        if produced_on != worker_device:
-            if crossed is not None:
-                crossed.add(input_id)
+            raise ExecutionError(f"missing external input {source!r}")
+        if crosses:
+            crossed.add(input_id)
             if injector is not None:
-                value = injector.on_transfer(src.ref, worker_device, value)
+                ref = step.task.sources[input_id].ref
+                value = injector.on_transfer(ref, ctx.device, value)
         feeds[input_id] = value
-    return feeds
+    ctx.feeds, ctx.crossed = feeds, crossed
 
 
 def execute_kernels(
@@ -385,40 +411,22 @@ class TracingMiddleware:
         self._t0 = time.perf_counter()
         self.clock = clock or (lambda: time.perf_counter() - self._t0)
 
-    def __call__(self, ctx: TaskContext, call_next) -> None:
-        task_id, device = ctx.task.task_id, ctx.device
+    def _emit(self, kind: str, ctx: TaskContext, detail: str = "") -> None:
         self.sink(
             ExecutionEvent(
-                kind="task-start",
-                time_s=self.clock(),
-                task_id=task_id,
-                device=device,
-                attempt=ctx.attempt,
+                kind, self.clock(), ctx.task.task_id, ctx.device, ctx.attempt,
+                detail,
             )
         )
+
+    def __call__(self, ctx: TaskContext, call_next) -> None:
+        self._emit("task-start", ctx)
         try:
             call_next(ctx)
         except BaseException as exc:  # re-raised: tracing observes, never handles
-            self.sink(
-                ExecutionEvent(
-                    kind="task-error",
-                    time_s=self.clock(),
-                    task_id=task_id,
-                    device=device,
-                    attempt=ctx.attempt,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            self._emit("task-error", ctx, f"{type(exc).__name__}: {exc}")
             raise
-        self.sink(
-            ExecutionEvent(
-                kind="task-finish",
-                time_s=self.clock(),
-                task_id=task_id,
-                device=device,
-                attempt=ctx.attempt,
-            )
-        )
+        self._emit("task-finish", ctx)
 
 
 class MetricsMiddleware:
@@ -575,8 +583,17 @@ class RetryMiddleware:
         self.rngs = rngs
         self.clock = clock
 
+    def _emit(
+        self, kind: str, ctx: TaskContext, attempt: int, detail: str = ""
+    ) -> None:
+        self.events.append(
+            ExecutionEvent(
+                kind, self.clock(), ctx.task.task_id, ctx.device, attempt,
+                detail,
+            )
+        )
+
     def __call__(self, ctx: TaskContext, call_next) -> None:
-        task_id = ctx.task.task_id
         attempt_no = 0
         while True:
             attempt_no += 1
@@ -589,124 +606,71 @@ class RetryMiddleware:
             except ExecutionError as exc:  # transient fault: retryable
                 self.counters["faults"] += 1
                 cause = exc
-            self.events.append(
-                ExecutionEvent(
-                    kind="fault",
-                    time_s=self.clock(),
-                    task_id=task_id,
-                    device=ctx.device,
-                    attempt=attempt_no,
-                    detail=str(cause),
-                )
-            )
+            self._emit("fault", ctx, attempt_no, str(cause))
             if attempt_no >= self.policy.max_attempts:
                 self.counters["giveups"] += 1
-                self.events.append(
-                    ExecutionEvent(
-                        kind="giveup",
-                        time_s=self.clock(),
-                        task_id=task_id,
-                        device=ctx.device,
-                        attempt=attempt_no,
-                        detail=f"retries exhausted: {cause}",
-                    )
+                self._emit(
+                    "giveup", ctx, attempt_no, f"retries exhausted: {cause}"
                 )
                 raise _GiveUp(cause, attempt_no) from cause
             delay = self.policy.backoff_s(attempt_no, self.rngs[ctx.device])
             self.counters["retries"] += 1
-            self.events.append(
-                ExecutionEvent(
-                    kind="backoff",
-                    time_s=self.clock(),
-                    task_id=task_id,
-                    device=ctx.device,
-                    attempt=attempt_no,
-                    detail=f"sleeping {delay:.6f}s",
-                )
-            )
+            self._emit("backoff", ctx, attempt_no, f"sleeping {delay:.6f}s")
             time.sleep(delay)
-            self.events.append(
-                ExecutionEvent(
-                    kind="retry",
-                    time_s=self.clock(),
-                    task_id=task_id,
-                    device=ctx.device,
-                    attempt=attempt_no + 1,
-                )
-            )
+            self._emit("retry", ctx, attempt_no + 1)
 
 
 # ----------------------------------------------------------------------
-# Worker strategies
+# The dispatch program
 
 
-@dataclass(frozen=True)
-class InlineWorkers:
-    """Sequential worker strategy: tasks run on the calling thread in plan
-    (priority) order.  No threads, no queues — the strategy behind the
-    simulator's numeric outputs and
-    :class:`~repro.runtime.session.EngineSession`."""
+def dispatch_stack(
+    middleware: Sequence[Middleware],
+    injector: "FaultInjector | None" = None,
+    *,
+    arena: "TensorArena | None" = None,
+    validate_transfers: bool = False,
+) -> Callable[[TaskContext], None]:
+    """The attempt pipeline every step of a dispatch runs through.
 
-
-@dataclass(frozen=True)
-class ThreadedWorkers:
-    """One named daemon worker thread per device with sync queues
-    (``duet-worker-cpu`` / ``duet-worker-gpu``), the paper's §IV-D
-    executor architecture.
-
-    Attributes:
-        join_timeout: seconds to wait for each worker at shutdown before
-            declaring it wedged.
+    ``middleware`` outermost, then the injector's start hook, feed
+    resolution (inside any retry middleware, so a retry re-fetches its
+    transfers), the transfer guard when ``validate_transfers``, and the
+    kernels, writing into ``arena`` when one is given.
     """
 
-    join_timeout: float = 5.0
+    def resolve_stage(ctx: TaskContext, call_next) -> None:
+        _resolve(ctx, injector)
+        call_next(ctx)
 
+    def kernel_stage(ctx: TaskContext) -> None:
+        ctx.env = execute_kernels(ctx.task, ctx.feeds, arena)
 
-def _abort_error(
-    errors: list[BaseException], stuck: list[str], join_timeout: float
-) -> ExecutionError | None:
-    """The error an aborted threaded run raises, or ``None`` for a clean
-    one: every worker failure (first cause leading) and every wedged
-    worker in one message."""
-    wedged = ", ".join(stuck)
-    if not errors:
-        if not stuck:
-            return None
-        return ExecutionError(
-            f"worker thread(s) for device(s) {wedged} did not finish "
-            f"within {join_timeout:.1f}s; a task is wedged"
-        )
-    message = f"threaded execution failed: {errors[0]}"
-    if stuck:
-        message += f" (worker(s) {wedged} still wedged after {join_timeout:.1f}s)"
-    if len(errors) > 1:
-        others = "; ".join(f"{type(e).__name__}: {e}" for e in errors[1:])
-        message += (
-            f" (+{len(errors) - 1} additional worker failure(s): {others})"
-        )
-    return ExecutionError(message)
-
-
-# ----------------------------------------------------------------------
-# The dispatch kernel
+    stages: list[Middleware] = list(middleware)
+    if injector is not None:
+        stages.append(FaultInjectionMiddleware(injector))
+    stages.append(resolve_stage)
+    if validate_transfers:
+        stages.append(TransferGuardMiddleware())
+    return build_attempt_stack(stages, kernel_stage)
 
 
 class DispatchKernel:
-    """The one executor: readiness tracking, worker dispatch, transfer
-    resolution, and output collection for a :class:`HeteroPlan`.
+    """The inline executor: a plan's steps in plan (priority) order on
+    the calling thread.
+
+    The plan is lowered once, here (:func:`lower_plan`); a run is one
+    value list and one pass over the steps.
 
     Args:
         plan: the heterogeneous plan to execute.
-        workers: :class:`InlineWorkers` (sequential, calling thread) or
-            :class:`ThreadedWorkers` (one named worker thread per device).
         middleware: policy middleware wrapping each task attempt,
             outermost first (retry, tracing, validation...).
         fault_injector: optional deterministic chaos hooks, consulted at
             every attempt start and every cross-device tensor hand-off.
         arena: optional :class:`~repro.runtime.memory.TensorArena`
             planned for ``plan``; when given, kernel outputs land in its
-            pool (inline dispatch only: the pool is planned in plan
-            order).
+            pool.
         validate_transfers: install the non-finite transfer guard after
             feed resolution.
     """
@@ -715,29 +679,26 @@ class DispatchKernel:
         self,
         plan: HeteroPlan,
         *,
-        workers: InlineWorkers | ThreadedWorkers | None = None,
         middleware: Sequence[Middleware] = (),
         fault_injector: "FaultInjector | None" = None,
         arena: "TensorArena | None" = None,
         validate_transfers: bool = False,
     ):
-        self.plan = plan
-        self.workers = workers or ThreadedWorkers()
-        self.middleware = list(middleware)
-        self.fault_injector = fault_injector
-        if arena is not None and (
-            arena.plan is not plan or not isinstance(self.workers, InlineWorkers)
-        ):
+        if arena is not None and arena.plan is not plan:
             raise ExecutionError(
                 "an arena serves the inline dispatch of the plan it was "
                 "planned for"
             )
-        self.arena = arena
-        self.validate_transfers = validate_transfers
-        self.devices = plan_worker_devices(plan)
-        self.template = _DependencyTemplate(plan)
-
-    # ------------------------------------------------------------------
+        self.plan = plan
+        self.steps, self.outputs = lower_plan(plan)
+        self._n_slots = sum(len(step.outputs) for step in self.steps)
+        self._attempt = dispatch_stack(
+            middleware,
+            fault_injector,
+            arena=arena,
+            validate_transfers=validate_transfers,
+        )
+        self._task_worker = {t.task_id: t.device for t in plan.tasks}
 
     def run(
         self,
@@ -746,16 +707,11 @@ class DispatchKernel:
         should_preempt: Callable[[], bool] | None = None,
         checkpoint: PhaseCheckpoint | None = None,
     ) -> CoreResult | PhaseCheckpoint:
-        """Execute the plan numerically; blocks until all tasks finish.
+        """Execute the plan numerically; raises the failing task's
+        exception directly.
 
-        A threaded run aborts on the first worker failure: queued work
-        is drained, the workers are joined, and one
-        :class:`~repro.errors.ExecutionError` names every failure and
-        any wedged worker, chained to the first cause.  Inline dispatch
-        raises the failing task's exception directly.
-
-        Inline dispatch has suspension points at plan phase boundaries:
-        before executing the first task of each *new* phase it consults
+        The run has suspension points at plan phase boundaries: before
+        executing the first task of each *new* phase it consults
         ``should_preempt()`` (when given); a True answer freezes the
         dispatch into a :class:`PhaseCheckpoint`, returned instead of a
         result.  Pass the checkpoint back (``checkpoint=...``) to resume
@@ -765,64 +721,52 @@ class DispatchKernel:
         ``len(plan.tasks)`` resumptions.
 
         The resumed run is bit-identical to an uninterrupted one: the
-        checkpoint detaches every committed value from the arena (exact
+        checkpoint detaches every published value from the arena (exact
         copies), and feed resolution consumes those copies verbatim —
         interleaved requests through the same kernel/arena cannot
-        perturb it.  ``CoreResult.wall_time_s`` of an inline run counts
-        active execution segments only, never suspended time, and
+        perturb it.  ``CoreResult.wall_time_s`` counts active execution
+        segments only, never suspended time, and
         ``CoreResult.preemptions`` counts the suspensions.
 
         Raises :class:`~repro.errors.ExecutionError` when neither inputs
-        nor a checkpoint are given, and when a predicate or checkpoint is
-        given to a threaded worker strategy (preemption points are
-        defined by the sequential plan order).
+        nor a checkpoint are given.
         """
-        if inputs is None and checkpoint is None:
-            raise ExecutionError("run needs inputs when starting fresh")
-        if not isinstance(self.workers, InlineWorkers):
-            if should_preempt is not None or checkpoint is not None:
-                raise ExecutionError(
-                    "preemptible dispatch requires InlineWorkers; threaded "
-                    "dispatch has no sequential phase boundaries to suspend at"
-                )
-            return self._run_threaded(inputs)
         if checkpoint is None:
-            state = DispatchState(self.plan, self.template)
+            if inputs is None:
+                raise ExecutionError("run needs inputs when starting fresh")
+            values: list = [None] * self._n_slots
             start, elapsed, preemptions = 0, 0.0, 0
         else:
-            state = checkpoint.state
+            values = list(checkpoint.values)
             start = checkpoint.next_index
             inputs = checkpoint.inputs
             elapsed = checkpoint.elapsed_s
             preemptions = checkpoint.preemptions
         began = time.perf_counter()
-        attempt = self._attempt_stack(state, inputs)
-        tasks = self.plan.tasks  # plan order is topological
-        for i in range(start, len(tasks)):
-            task = tasks[i]
+        attempt, steps = self._attempt, self.steps
+        for i in range(start, len(steps)):
+            step = steps[i]
+            task = step.task
             if (
                 should_preempt is not None
                 and i > start  # guarantee progress within each segment
-                and task.phase_index != tasks[i - 1].phase_index
+                and task.phase_index != steps[i - 1].task.phase_index
                 and should_preempt()
             ):
-                with state.lock:
-                    # Detach the frontier from the arena: an interloper
-                    # dispatched through this kernel while we are
-                    # suspended reuses (and clobbers) the same buffers.
-                    state.values = {
-                        key: np.copy(value)
-                        for key, value in state.values.items()
-                    }
+                # Detach the frontier from the arena: an interloper
+                # dispatched through this kernel while we are suspended
+                # reuses (and clobbers) the same buffers.
                 return PhaseCheckpoint(
-                    state=state,
+                    values=[None if v is None else np.copy(v) for v in values],
                     next_index=i,
                     inputs=inputs,
-                    phase_index=tasks[i - 1].phase_index,
+                    phase_index=steps[i - 1].task.phase_index,
                     elapsed_s=elapsed + (time.perf_counter() - began),
                     preemptions=preemptions + 1,
                 )
-            ctx = TaskContext(task=task, device=task.device)
+            ctx = TaskContext(
+                task, task.device, step=step, values=values, inputs=inputs
+            )
             try:
                 attempt(ctx)
             except _GiveUp as exc:
@@ -830,144 +774,11 @@ class DispatchKernel:
                     f"task {task.task_id!r} failed after "
                     f"{exc.attempts} attempt(s): {exc.cause}"
                 ) from exc.cause
-            self._commit(state, ctx)
-        return self._collect(
-            state, elapsed + (time.perf_counter() - began), preemptions
-        )
-
-    # ------------------------------------------------------------------
-
-    def _attempt_stack(self, state: DispatchState, inputs):
-        """Compose the per-attempt pipeline for one run."""
-        injector = self.fault_injector
-
-        def resolve_stage(ctx: TaskContext, call_next) -> None:
-            ctx.crossed = set()
-            with state.lock:
-                ctx.feeds = resolve_feeds(
-                    ctx.task,
-                    ctx.device,
-                    inputs,
-                    state.values,
-                    state.task_worker,
-                    injector,
-                    ctx.crossed,
-                )
-            call_next(ctx)
-
-        def kernel_stage(ctx: TaskContext) -> None:
-            ctx.env = execute_kernels(ctx.task, ctx.feeds, self.arena)
-
-        stages: list[Middleware] = list(self.middleware)
-        if injector is not None:
-            stages.append(FaultInjectionMiddleware(injector))
-        stages.append(resolve_stage)
-        if self.validate_transfers:
-            stages.append(TransferGuardMiddleware())
-        return build_attempt_stack(stages, kernel_stage)
-
-    def _commit(self, state: DispatchState, ctx: TaskContext) -> list[TaskSpec]:
-        """Publish a finished task's outputs; returns newly-ready tasks."""
-        task = ctx.task
-        with state.lock:
-            for idx, out_id in enumerate(task.module.output_ids):
-                state.values[(task.task_id, idx)] = ctx.env[out_id]
-            state.task_worker[task.task_id] = ctx.device
-            state.task_order.append(task.task_id)
-            ready = []
-            for dep in state.dependents[task.task_id]:
-                state.remaining_deps[dep.task_id] -= 1
-                if state.remaining_deps[dep.task_id] == 0:
-                    ready.append(dep)
-        return ready
-
-    def _collect(
-        self, state: DispatchState, wall_time_s: float, preemptions: int = 0
-    ) -> CoreResult:
-        outputs = [state.values[(tid, idx)] for tid, idx in self.plan.outputs]
+            step.publish(ctx.env, values)
         return CoreResult(
-            outputs=outputs,
-            wall_time_s=wall_time_s,
-            task_worker=dict(state.task_worker),
-            task_order=list(state.task_order),
+            outputs=[values[slot] for slot in self.outputs],
+            wall_time_s=elapsed + (time.perf_counter() - began),
+            task_worker=dict(self._task_worker),
+            task_order=list(self._task_worker),  # plan order
             preemptions=preemptions,
         )
-
-    # ------------------------------------------------------------------
-
-    def _run_threaded(self, inputs) -> CoreResult:
-        t0 = time.perf_counter()
-        state = DispatchState(self.plan, self.template)
-        attempt = self._attempt_stack(state, inputs)
-        queues: dict[str, "queue.Queue[TaskSpec | None]"] = {
-            dev: queue.Queue() for dev in self.devices
-        }
-        finished: "queue.Queue[bool]" = queue.Queue()  # one entry per task
-
-        def process(task: TaskSpec, device: str) -> None:
-            ctx = TaskContext(task=task, device=device)
-            try:
-                attempt(ctx)
-            except _GiveUp as exc:
-                failure: BaseException = exc.cause
-            except BaseException as exc:
-                # Broad by design: arbitrary kernel exceptions must
-                # propagate to the caller, not kill the worker silently.
-                failure = exc
-            else:
-                for dep in self._commit(state, ctx):
-                    queues[dep.device].put(dep)
-                finished.put(True)
-                return
-            with state.lock:
-                state.errors.append(failure)
-            finished.put(False)
-
-        def worker(device: str) -> None:
-            while True:
-                task = queues[device].get()
-                if task is None:
-                    return
-                process(task, device)
-
-        workers = {
-            dev: threading.Thread(
-                target=worker,
-                args=(dev,),
-                name=f"duet-worker-{dev}",
-                daemon=True,
-            )
-            for dev in self.devices
-        }
-        for t in workers.values():
-            t.start()
-        # Seed the queues with dependency-free tasks.
-        for task in self.plan.tasks:
-            if state.remaining_deps[task.task_id] == 0:
-                queues[task.device].put(task)
-
-        # Count completions; the first failure stops the run.
-        n_done = 0
-        while n_done < len(self.plan.tasks) and finished.get():
-            n_done += 1
-
-        # Shutdown: drain, sentinel, join.
-        join_timeout = self.workers.join_timeout
-        stuck = []
-        for q in queues.values():
-            while True:
-                try:
-                    q.get_nowait()
-                except queue.Empty:
-                    break
-        for dev in queues:
-            queues[dev].put(None)
-        for dev, t in workers.items():
-            t.join(timeout=join_timeout)
-            if t.is_alive():
-                stuck.append(dev)
-
-        error = _abort_error(state.errors, stuck, join_timeout)
-        if error is not None:
-            raise error from (state.errors[0] if state.errors else None)
-        return self._collect(state, time.perf_counter() - t0)

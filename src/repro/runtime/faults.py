@@ -3,30 +3,22 @@
 A :class:`FaultPlan` declares *what* goes wrong — transient kernel
 failures, latency stalls, transfer corruption/failure, permanent device
 loss — and a :class:`FaultInjector` turns the plan into per-run stateful
-hooks that every wall-clock dispatch
-(:class:`~repro.runtime.threaded.ThreadedExecutor`,
-:class:`~repro.runtime.session.EngineSession` and so the serving lanes)
-and the virtual-time simulator (:func:`~repro.runtime.simulator.simulate`)
-call at well-defined points.  All behaviour is a pure function of the
-plan plus attempt counters, so chaos scenarios replay identically run
-after run: the same task attempt fails, the same transfer corrupts, the
-same device dies.
-
-Wall-clock hooks (executors):
+hooks that both executors of the lowered dispatch program
+(:class:`~repro.runtime.core.DispatchKernel`, and so
+:class:`~repro.runtime.session.EngineSession` and the serving lanes, and
+:class:`~repro.runtime.threaded.ThreadedExecutor`) call at well-defined
+points of every step.  All behaviour is a pure function of the plan plus
+attempt counters, so chaos scenarios replay identically run after run:
+the same task attempt fails, the same transfer corrupts, the same device
+dies.
 
 * :meth:`FaultInjector.on_task_start` — called once per execution
   *attempt* of a task; may sleep (stall), raise
   :class:`~repro.errors.TransientKernelError`, or raise
   :class:`~repro.errors.DeviceLostError`.
-* :meth:`FaultInjector.on_transfer` — called when a tensor crosses
-  devices; may raise :class:`~repro.errors.TransferError` or return a
-  corrupted copy of the array.
-
-Virtual-time hook (simulator):
-
-* :meth:`FaultInjector.on_virtual_task` — returns extra virtual seconds
-  (stalls) and raises for kernel faults / device loss, so schedulers and
-  planners can be chaos-tested without spawning a single thread.
+* :meth:`FaultInjector.on_transfer` — called once per cross-device
+  input of every attempt; may raise :class:`~repro.errors.TransferError`
+  or return a corrupted copy of the array.
 """
 
 from __future__ import annotations
@@ -79,8 +71,7 @@ class KernelFault:
 @dataclass(frozen=True)
 class StallFault:
     """Latency stall: the first ``stall_attempts`` attempts of ``task_id``
-    take an extra ``delay_s`` seconds (wall-clock in the executors,
-    virtual seconds in the simulator)."""
+    take an extra ``delay_s`` wall-clock seconds."""
 
     task_id: str
     delay_s: float
@@ -123,22 +114,15 @@ class TransferFault:
 
 @dataclass(frozen=True)
 class DeviceLoss:
-    """Permanent device loss, triggered at a chosen task or virtual time.
-
-    ``at_task``: the device dies the moment that task is dispatched (on
-    any device — if the task itself sits on the dying device, its attempt
-    raises :class:`DeviceLostError`).  ``at_time``: in the simulator, any
-    task starting at or after this virtual time on the device raises.
-    """
+    """Permanent device loss: ``device`` dies the moment task ``at_task``
+    is dispatched (on any device — if the task itself sits on the dying
+    device, its attempt raises :class:`DeviceLostError`)."""
 
     device: str
-    at_task: str | None = None
-    at_time: float | None = None
+    at_task: str
 
     def __post_init__(self) -> None:
         _check_device(self.device, "DeviceLoss")
-        if self.at_task is None and self.at_time is None:
-            raise ExecutionError("DeviceLoss needs at_task or at_time")
 
 
 @dataclass(frozen=True)
@@ -185,12 +169,8 @@ class FaultInjector:
             (f.ref, f.dest_device): f for f in self.plan.transfer_faults
         }
         self._loss_at_task: dict[str, list[DeviceLoss]] = {}
-        self._loss_at_time: list[DeviceLoss] = []
         for loss in self.plan.device_losses:
-            if loss.at_task is not None:
-                self._loss_at_task.setdefault(loss.at_task, []).append(loss)
-            if loss.at_time is not None:
-                self._loss_at_time.append(loss)
+            self._loss_at_task.setdefault(loss.at_task, []).append(loss)
         self.reset()
 
     def reset(self) -> None:
@@ -217,7 +197,7 @@ class FaultInjector:
         self._lost.discard(device)
 
     # ------------------------------------------------------------------
-    # Wall-clock hooks (every DispatchKernel run)
+    # Hooks (every step of either executor)
 
     def on_task_start(self, task_id: str, device: str) -> None:
         """Hook for the start of one execution attempt.
@@ -272,36 +252,6 @@ class FaultInjector:
         elif np.issubdtype(poisoned.dtype, np.integer):
             poisoned.fill(np.iinfo(poisoned.dtype).max)
         return poisoned
-
-    # ------------------------------------------------------------------
-    # Virtual-time hook (simulator)
-
-    def on_virtual_task(self, task_id: str, device: str, start: float) -> float:
-        """Hook for one task starting at virtual time ``start``.
-
-        Returns extra virtual seconds to add to the task (stalls);
-        raises for kernel faults and device loss.  Transfer faults do not
-        apply in the simulator (it prices transfers, it does not move
-        data).
-        """
-        for loss in self._loss_at_task.get(task_id, ()):
-            self._lost.add(loss.device)
-        for loss in self._loss_at_time:
-            if start >= loss.at_time:
-                self._lost.add(loss.device)
-        if device in self._lost:
-            raise DeviceLostError(device)
-        attempt = self._task_attempts.get(task_id, 0) + 1
-        self._task_attempts[task_id] = attempt
-        fault = self._kernel.get(task_id)
-        if fault is not None and attempt <= fault.fail_attempts:
-            raise TransientKernelError(
-                f"{fault.message} (task {task_id!r}, attempt {attempt})"
-            )
-        stall = self._stall.get(task_id)
-        if stall is not None and attempt <= stall.stall_attempts:
-            return stall.delay_s
-        return 0.0
 
 
 class ScriptedChaosInjector(FaultInjector):

@@ -9,8 +9,8 @@ partition/profile/schedule pipeline — on every call.  An
 
 * the optimization (plan, placements, degradation plans) is fixed at
   session construction;
-* the dispatch dependency structure is precomputed once inside the
-  unified :class:`~repro.runtime.core.DispatchKernel`;
+* the plan is lowered once to the dispatch program's steps inside the
+  inline :class:`~repro.runtime.core.DispatchKernel`;
 * model parameters load eagerly (at session construction, never
   mid-request): the plan's missing weights are generated in one batch
   into the compiler's :class:`~repro.ir.weights.WeightStore`, which
@@ -20,11 +20,12 @@ partition/profile/schedule pipeline — on every call.  An
   plan's live ranges when the session is built: outputs whose live
   ranges never overlap share bytes, and requests allocate nothing.
 
-``run(inputs)`` then costs one inline dispatch: resolve feeds, execute
-kernels, collect outputs.  It returns the kernel's
-:class:`~repro.runtime.core.CoreResult` with its outputs copied out of
-the arena, so they stay valid after the next request overwrites the
-session's buffers and are bit-identical to a fresh ``DuetEngine.run``.
+``run(inputs)`` then costs one pass over the steps: bind each step's
+feeds, execute its kernels, publish its outputs to their value slots.
+It returns the kernel's :class:`~repro.runtime.core.CoreResult` with its
+outputs copied out of the arena, so they stay valid after the next
+request overwrites the session's buffers and are bit-identical to a
+fresh ``DuetEngine.run``.
 
 A session is not thread-safe for concurrent ``run`` calls; an internal
 lock serializes them.  Sessions are cheap — use one per serving thread.
@@ -42,7 +43,6 @@ from repro.runtime.core import (
     CoreResult,
     DispatchKernel,
     ExecutionEvent,
-    InlineWorkers,
     InvariantMiddleware,
     Middleware,
     PhaseCheckpoint,
@@ -63,7 +63,7 @@ class EngineSession:
 
     Build via :meth:`repro.core.engine.DuetEngine.session`, or directly
     from a plan.  Compilation, planning, and dependency analysis happen
-    once, here; each :meth:`run` is a single pass through the unified
+    once, here; each :meth:`run` is a single pass through the inline
     dispatch kernel with arena-backed intermediate storage.
 
     Args:
@@ -108,7 +108,6 @@ class EngineSession:
             stack.append(InvariantMiddleware())
         self._kernel = DispatchKernel(
             plan,
-            workers=InlineWorkers(),
             middleware=stack,
             arena=self.arena,
             fault_injector=fault_injector,

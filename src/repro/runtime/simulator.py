@@ -30,28 +30,26 @@ The one axis is the **link discipline**:
 
 Times are cost-model means (what the scheduler's latency oracle uses) or
 per-kernel/per-transfer noise samples (what the tail-latency experiments
-use).  The timeline walks never execute a kernel: when inputs are given,
-:func:`simulate` takes its ``outputs`` from one inline
-:class:`~repro.runtime.core.DispatchKernel` run of the same plan, so the
-link discipline moves events on the virtual clock but never changes what
-is computed.
+use).  The timeline walks never execute a kernel and inject no faults:
+when inputs are given, :func:`simulate` takes its ``outputs`` from one
+inline :class:`~repro.runtime.core.DispatchKernel` run of the same plan
+(the lowered steps every wall-clock executor runs), so the link
+discipline moves events on the virtual clock but never changes what is
+computed.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.devices.machine import Machine, link_key
 from repro.errors import ExecutionError
-from repro.runtime.core import DispatchKernel, InlineWorkers
+from repro.runtime.core import DispatchKernel
 from repro.runtime.plan import HeteroPlan, TaskSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.faults import FaultInjector
 
 __all__ = [
     "KernelRecord",
@@ -269,7 +267,6 @@ def _walk_lazy(
     plan: HeteroPlan,
     machine: Machine,
     clock: _Clock,
-    injector: "FaultInjector | None" = None,
 ) -> tuple[object, list[TaskRecord], list[TransferRecord]]:
     """One inference under the lazy link discipline.
 
@@ -324,11 +321,6 @@ def _walk_lazy(
             else:
                 at = output_arrival(src.ref, src.output_index, task.device)
             start = latest(start, at)
-        if injector is not None:
-            # Stalls extend the task on the virtual clock; kernel faults
-            # and device losses raise (no retry here — the simulator is
-            # the cheap chaos probe, recovery lives in the serving lane).
-            start += injector.on_virtual_task(task.task_id, task.device, start)
         record = clock.run_task(task, start)
         device_free[task.device] = record.finish
         done[task.task_id] = record
@@ -530,7 +522,6 @@ def simulate(
     inputs: Mapping[str, np.ndarray] | None = None,
     *,
     kernel_times: Mapping[str, Sequence[float]] | None = None,
-    injector: "FaultInjector | None" = None,
     overlap: bool = False,
 ) -> ExecutionResult:
     """Run one inference of ``plan`` on ``machine``.
@@ -542,41 +533,26 @@ def simulate(
             deterministic mean times.
         inputs: pass model inputs to also execute the plan numerically
             through one inline dispatch (the result then carries
-            ``outputs``; the injector is virtual-clock only).
+            ``outputs``).
         kernel_times: optional precomputed per-task mean kernel durations
             (task id -> one duration per kernel, in kernel order).  Used
             only in mean mode (``rng is None``); latencies are bit-identical
             to recomputing because the same per-kernel values accumulate in
             the same order.
-        injector: optional :class:`~repro.runtime.faults.FaultInjector`
-            consulted as each task starts on the virtual clock: injected
-            stalls add virtual time, kernel faults raise
-            :class:`~repro.errors.TransientKernelError`, and device losses
-            (``at_task``/``at_time``) raise
-            :class:`~repro.errors.DeviceLostError` — so chaos scenarios
-            can be explored without threads.  With ``None`` or an empty
-            fault plan, latencies are bit-identical to the uninstrumented
-            simulation.
         overlap: price the plan under the eager (double-buffered) link
             discipline: transfers are issued at producer finish (external
             inputs at arrival) and each link serves them in ready order,
             so copies overlap with compute.  Numerics are unaffected —
-            only the virtual clock changes.  Incompatible with
-            ``injector`` (chaos runs use the lazy clock).
+            only the virtual clock changes.
     """
     clock = _Clock(machine, rng, kernel_times=kernel_times)
     if overlap:
-        if injector is not None:
-            raise ExecutionError(
-                "overlap=True does not support fault injection; "
-                "use the lazy simulation for chaos probes"
-            )
         (latency,), tasks, transfers = _replay_eager(plan, machine, clock, [0.0])
     else:
-        latency, tasks, transfers = _walk_lazy(plan, machine, clock, injector)
+        latency, tasks, transfers = _walk_lazy(plan, machine, clock)
     outputs = None
     if inputs is not None:
-        outputs = DispatchKernel(plan, workers=InlineWorkers()).run(inputs).outputs
+        outputs = DispatchKernel(plan).run(inputs).outputs
     return ExecutionResult(
         latency=latency, tasks=tasks, transfers=transfers, outputs=outputs
     )

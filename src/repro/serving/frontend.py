@@ -92,7 +92,6 @@ from repro.errors import (
 )
 from repro.runtime.core import (
     DispatchKernel,
-    InlineWorkers,
     MetricsMiddleware,
     Middleware,
     PhaseCheckpoint,
@@ -429,7 +428,6 @@ class _WorkerSlot:
             # lane validates the *split* outputs instead.
             stacked_kernel = DispatchKernel(
                 plan,
-                workers=InlineWorkers(),
                 middleware=middleware,
                 fault_injector=self.injector,
                 validate_transfers=config.validate_transfers,

@@ -15,9 +15,9 @@ execution path and demanding exact agreement:
   ``overlap=True`` transfer disciplines, which must be bit-identical
   (overlap changes the virtual clock, never the data);
 * the :class:`~repro.runtime.threaded.ThreadedExecutor` (real threads);
-* the unified :class:`~repro.runtime.core.DispatchKernel` driven
-  directly with the inline worker strategy and the plan's planned
-  :class:`~repro.runtime.memory.TensorArena` pool — the configuration
+* the inline :class:`~repro.runtime.core.DispatchKernel` driven
+  directly with the plan's planned :class:`~repro.runtime.memory.TensorArena`
+  pool — the configuration
   :class:`~repro.runtime.session.EngineSession` serves repeated
   requests with;
 * the same kernel's :meth:`~repro.runtime.core.DispatchKernel.run`
@@ -75,7 +75,7 @@ from repro.devices.machine import Machine, default_machine
 from repro.errors import ReproError
 from repro.ir.graph import Graph
 from repro.ir.interpreter import make_inputs, run_graph
-from repro.runtime.core import DispatchKernel, InlineWorkers, PhaseCheckpoint
+from repro.runtime.core import DispatchKernel, PhaseCheckpoint
 from repro.runtime.memory import TensorArena
 from repro.runtime.plan import single_device_plan
 from repro.runtime.simulator import simulate
@@ -463,9 +463,7 @@ def run_differential(
             # Two arena-backed requests through one kernel: the session
             # configuration, plus a check that buffer reuse on the second
             # request does not perturb the numerics.
-            kernel = DispatchKernel(
-                plan, workers=InlineWorkers(), arena=TensorArena(plan)
-            )
+            kernel = DispatchKernel(plan, arena=TensorArena(plan))
             first = [np.copy(o) for o in kernel.run(feeds).outputs]
             result = kernel.run(feeds)
             outcome.outputs = result.outputs
@@ -487,9 +485,7 @@ def run_differential(
             # on the same kernel (same arena) while suspended — exactly
             # what a higher-priority request does to a preempted one.
             # The checkpointed frontier must survive the arena clobber.
-            kernel = DispatchKernel(
-                plan, workers=InlineWorkers(), arena=TensorArena(plan)
-            )
+            kernel = DispatchKernel(plan, arena=TensorArena(plan))
             hops = 0
             out = kernel.run(feeds, should_preempt=lambda: True)
             while isinstance(out, PhaseCheckpoint):

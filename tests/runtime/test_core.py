@@ -1,8 +1,9 @@
 """Tests for the unified dispatch core: stack composition, middleware,
-worker strategies, and single-device plans."""
+the lowered program under both executors, and single-device plans."""
 
 import dataclasses
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 
 from repro.compiler import Compiler
 from repro.compiler.target import CPU_TARGET
-from repro.core import DuetEngine
+from repro.core import CompilerAwareProfiler, DuetEngine, partition_graph
+from repro.core.placement import build_hetero_plan
+from repro.core.schedulers.round_robin import round_robin_placement
+from repro.devices import default_machine
 from repro.errors import (
     DeviceLostError,
     ExecutionError,
@@ -19,29 +23,27 @@ from repro.errors import (
     TransientKernelError,
 )
 from repro.ir import make_inputs, run_graph
-from repro.models import build_model
+from repro.models import MODEL_NAMES, build_model
 from repro.runtime.core import (
     DispatchKernel,
-    InlineWorkers,
     InvariantMiddleware,
     RetryMiddleware,
     RetryPolicy,
     TaskContext,
-    ThreadedWorkers,
     TracingMiddleware,
     TransferGuardMiddleware,
     build_attempt_stack,
 )
+from repro.runtime.faults import FaultInjector
 from repro.runtime.memory import TensorArena
 from repro.runtime.plan import HeteroPlan, single_device_plan
 from repro.runtime.simulator import simulate
 from repro.runtime.threaded import ThreadedExecutor
+from repro.testing.generators import generate_cases
 
 
 @pytest.fixture(scope="module")
 def plan_and_graph():
-    from repro.devices import default_machine
-
     graph = build_model("wide_deep", tiny=True)
     engine = DuetEngine(machine=default_machine(noisy=False))
     return engine.optimize(graph).plan, graph
@@ -82,12 +84,106 @@ class TestAttemptStack:
         ]
 
 
+class _TransferRecorder(FaultInjector):
+    """Injects nothing; records every transfer hook call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def on_transfer(self, ref, dest_device, array):
+        with self._lock:
+            self.calls.append((ref, dest_device))
+        return array
+
+
+def _cross_device_edges(plan):
+    """``(source ref, destination device)`` of every module input whose
+    tensor changes device on its way in (model inputs start on the host)."""
+    device = {t.task_id: t.device for t in plan.tasks}
+    return Counter(
+        (src.ref, task.device)
+        for task in plan.tasks
+        for src in task.sources.values()
+        if (device[src.ref] if src.kind == "task" else "cpu") != task.device
+    )
+
+
+@pytest.fixture(scope="module")
+def lowering_subjects():
+    """``(name, plan, feeds)`` for every tiny zoo model's plan, and for the
+    first 20 graphs of fuzz campaign 0 under the engine's plan and a
+    round-robin plan (which guarantees cross-device edges)."""
+    machine = default_machine(noisy=False)
+    engine = DuetEngine(machine=machine)
+    profiler = CompilerAwareProfiler(machine=machine)
+    subjects = []
+    for name in MODEL_NAMES:
+        graph = build_model(name, tiny=True)
+        subjects.append((name, engine.optimize(graph).plan, make_inputs(graph)))
+    for case in generate_cases(0, 20):
+        graph = case.graph
+        partition = partition_graph(graph)
+        alt = build_hetero_plan(
+            graph,
+            partition,
+            profiler.profile_partition(partition),
+            round_robin_placement(partition),
+        )
+        feeds = make_inputs(graph)
+        subjects.append((graph.name, engine.optimize(graph).plan, feeds))
+        subjects.append((f"{graph.name}@alt", alt, feeds))
+    return subjects
+
+
+class TestLowering:
+    @pytest.mark.parametrize("executor", ["inline", "threaded"])
+    def test_one_transfer_hook_per_cross_device_edge(
+        self, lowering_subjects, executor
+    ):
+        crossing = same_device = 0
+        for name, plan, feeds in lowering_subjects:
+            recorder = _TransferRecorder()
+            if executor == "inline":
+                DispatchKernel(plan, fault_injector=recorder).run(feeds)
+            else:
+                ThreadedExecutor(plan, fault_injector=recorder).run(feeds)
+            expected = _cross_device_edges(plan)
+            assert Counter(recorder.calls) == expected, name
+            crossing += sum(expected.values())
+            same_device += sum(
+                1
+                for task in plan.tasks
+                for src in task.sources.values()
+                if src.kind == "task" and plan.task(src.ref).device == task.device
+            )
+        assert crossing and same_device  # both kinds of edge were exercised
+
+    def test_steps_follow_the_plan(self, lowering_subjects):
+        def reads(consumer, producer):
+            return any(
+                src.kind == "task" and src.ref == producer.task_id
+                for src in consumer.sources.values()
+            )
+
+        for name, plan, _ in lowering_subjects:
+            steps = DispatchKernel(plan).steps
+            assert [s.task for s in steps] == plan.tasks, name
+            for step in steps:
+                producers = [s for s in steps if reads(step.task, s.task)]
+                assert step.n_producers == len(producers), name
+                assert step.consumers == tuple(
+                    j for j, s in enumerate(steps) if reads(s.task, step.task)
+                ), name
+
+
 class TestWorkerStrategies:
     def test_inline_and_threaded_agree_bitwise(self, plan_and_graph):
         plan, graph = plan_and_graph
         feeds = make_inputs(graph)
-        inline = DispatchKernel(plan, workers=InlineWorkers()).run(feeds)
-        threaded = DispatchKernel(plan, workers=ThreadedWorkers()).run(feeds)
+        inline = DispatchKernel(plan).run(feeds)
+        threaded = ThreadedExecutor(plan).run(feeds)
         for a, b in zip(inline.outputs, threaded.outputs):
             np.testing.assert_array_equal(a, b)
         assert inline.task_worker == threaded.task_worker
@@ -101,9 +197,7 @@ class TestWorkerStrategies:
             seen[ctx.device] = (thread.name, thread.daemon)
             call_next(ctx)
 
-        DispatchKernel(
-            plan, workers=ThreadedWorkers(), middleware=[recorder]
-        ).run(make_inputs(graph))
+        ThreadedExecutor(plan, middleware=[recorder]).run(make_inputs(graph))
         assert seen  # at least one device actually ran tasks
         for device, (name, daemon) in seen.items():
             assert name == f"duet-worker-{device}"
@@ -117,9 +211,7 @@ class TestWorkerStrategies:
             names.add(threading.current_thread().name)
             call_next(ctx)
 
-        DispatchKernel(
-            plan, workers=InlineWorkers(), middleware=[recorder]
-        ).run(make_inputs(graph))
+        DispatchKernel(plan, middleware=[recorder]).run(make_inputs(graph))
         assert names == {threading.current_thread().name}
 
     def test_inline_propagates_raw_exceptions(self, plan_and_graph):
@@ -130,7 +222,7 @@ class TestWorkerStrategies:
 
         bad = _patch_first_kernel(plan, boom)
         with pytest.raises(ValueError, match="not a runtime error"):
-            DispatchKernel(bad, workers=InlineWorkers()).run(make_inputs(graph))
+            DispatchKernel(bad).run(make_inputs(graph))
 
     def test_failed_threaded_run_joins_its_workers(self, plan_and_graph):
         plan, graph = plan_and_graph
@@ -140,9 +232,9 @@ class TestWorkerStrategies:
 
         before = set(threading.enumerate())
         with pytest.raises(ExecutionError, match="kernel exploded"):
-            DispatchKernel(
-                _patch_first_kernel(plan, boom), workers=ThreadedWorkers()
-            ).run(make_inputs(graph))
+            ThreadedExecutor(_patch_first_kernel(plan, boom)).run(
+                make_inputs(graph)
+            )
         # The shutdown block ran: no device worker outlives the dispatch.
         assert not [
             t
@@ -153,20 +245,20 @@ class TestWorkerStrategies:
     def test_missing_external_input(self, plan_and_graph):
         plan, _ = plan_and_graph
         with pytest.raises(ExecutionError, match="missing external input"):
-            DispatchKernel(plan, workers=InlineWorkers()).run({})
+            DispatchKernel(plan).run({})
 
     def test_arena_stops_allocating_and_outputs_match(self, plan_and_graph):
         plan, graph = plan_and_graph
         feeds = make_inputs(graph)
         arena = TensorArena(plan)
-        kernel = DispatchKernel(plan, workers=InlineWorkers(), arena=arena)
+        kernel = DispatchKernel(plan, arena=arena)
         first = [np.copy(o) for o in kernel.run(feeds).outputs]
         allocations = arena.allocations
         second = kernel.run(feeds)
         assert arena.allocations == allocations
         for a, b in zip(first, second.outputs):
             np.testing.assert_array_equal(a, b)
-        plain = DispatchKernel(plan, workers=InlineWorkers()).run(feeds)
+        plain = DispatchKernel(plan).run(feeds)
         for a, b in zip(first, plain.outputs):
             np.testing.assert_array_equal(a, b)
 
@@ -277,7 +369,6 @@ class TestTracingMiddleware:
         events = []
         DispatchKernel(
             plan,
-            workers=InlineWorkers(),
             middleware=[TracingMiddleware(events.append)],
         ).run(make_inputs(graph))
         starts = [e for e in events if e.kind == "task-start"]
@@ -334,7 +425,6 @@ class TestInvariantMiddleware:
         plan, graph = plan_and_graph
         DispatchKernel(
             plan,
-            workers=InlineWorkers(),
             middleware=[InvariantMiddleware()],
         ).run(make_inputs(graph))
 

@@ -10,7 +10,7 @@ from repro.errors import ExecutionError
 from repro.ir import make_inputs
 from repro.ir.interpreter import run_graph
 from repro.models import MODEL_NAMES, build_model
-from repro.runtime.core import DispatchKernel, InlineWorkers, ThreadedWorkers
+from repro.runtime.core import DispatchKernel
 from repro.runtime.memory import (
     ALIGN,
     TensorArena,
@@ -181,7 +181,7 @@ class TestActivationPool:
             feeds = make_inputs(opt.graph)
             want = run_graph(opt.graph, feeds)
             kernel = DispatchKernel(
-                opt.plan, workers=InlineWorkers(), arena=_ScribblingArena(opt.plan)
+                opt.plan, arena=_ScribblingArena(opt.plan)
             )
             with np.errstate(all="ignore"):
                 got = kernel.run(feeds).outputs
@@ -237,7 +237,6 @@ class TestActivationPool:
         )
         kernel = DispatchKernel(
             flaky_plan,
-            workers=InlineWorkers(),
             middleware=[retry],
             arena=_ScribblingArena(flaky_plan),
         )
@@ -263,7 +262,7 @@ class TestActivationPool:
             if not name.endswith("-tiny"):
                 continue
             arena = TensorArena(opt.plan)
-            kernel = DispatchKernel(opt.plan, workers=InlineWorkers(), arena=arena)
+            kernel = DispatchKernel(opt.plan, arena=arena)
             kernel.run(make_inputs(opt.graph))
             assert arena.allocations == 1, name
 
@@ -284,6 +283,4 @@ class TestActivationPool:
         plan = zoo_opts["wide_deep-tiny"].plan
         other = zoo_opts["siamese-tiny"].plan
         with pytest.raises(ExecutionError, match="planned for"):
-            DispatchKernel(other, workers=InlineWorkers(), arena=TensorArena(plan))
-        with pytest.raises(ExecutionError, match="planned for"):
-            DispatchKernel(plan, workers=ThreadedWorkers(), arena=TensorArena(plan))
+            DispatchKernel(other, arena=TensorArena(plan))

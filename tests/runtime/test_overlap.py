@@ -9,10 +9,8 @@ data.
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
 from repro.ir import GraphBuilder
 from repro.runtime import Source, simulate, simulate_stream
-from repro.runtime.faults import FaultInjector, FaultPlan, TransferFault
 from repro.runtime.plan import HeteroPlan
 
 from .test_simulator import _dense_graph, _ext, _task
@@ -109,18 +107,6 @@ class TestBitIdentity:
 
 
 class TestGuards:
-    def test_overlap_rejects_fault_injection(self, machine):
-        plan = _late_vs_bulk_plan()
-        injector = FaultInjector(
-            FaultPlan(
-                transfer_faults=[
-                    TransferFault(ref="xb", dest_device="gpu")
-                ]
-            )
-        )
-        with pytest.raises(ExecutionError, match="overlap"):
-            simulate(plan, machine, overlap=True, injector=injector)
-
     def test_lazy_default_unchanged_by_flag_plumbing(self, machine):
         plan = _late_vs_bulk_plan()
         assert (

@@ -28,9 +28,7 @@ from repro.models import build_model
 from repro.runtime.core import (
     CoreResult,
     DispatchKernel,
-    InlineWorkers,
     PhaseCheckpoint,
-    ThreadedWorkers,
 )
 from repro.runtime.memory import TensorArena
 from repro.testing.generators import GeneratorConfig, generate_graph
@@ -60,9 +58,7 @@ def phase_boundaries(plan):
 class TestKernelPreemption:
     def test_always_preempt_suspends_at_every_boundary(self, served):
         engine, opt, feeds, ref = served
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         boundaries = phase_boundaries(opt.plan)
         assert boundaries >= 1  # wide_deep is the multi-phase model
 
@@ -84,9 +80,7 @@ class TestKernelPreemption:
         checkpoint detaches its values from the arena."""
         engine, opt, feeds, ref = served
         other = make_inputs(opt.graph, seed=99)
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         out = kernel.run(feeds, should_preempt=lambda: True)
         suspensions = 0
         while isinstance(out, PhaseCheckpoint):
@@ -99,9 +93,7 @@ class TestKernelPreemption:
 
     def test_predicate_consulted_once_per_boundary(self, served):
         engine, opt, feeds, ref = served
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         calls = []
 
         def never(*, _calls=calls):
@@ -114,25 +106,15 @@ class TestKernelPreemption:
 
     def test_never_preempt_matches_plain_run(self, served):
         engine, opt, feeds, ref = served
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         out = kernel.run(feeds, should_preempt=lambda: False)
         for got, want in zip(out.outputs, ref):
             np.testing.assert_array_equal(got, want)
         assert out.task_order == kernel.run(feeds).task_order
 
-    def test_threaded_workers_rejected(self, served):
-        engine, opt, feeds, ref = served
-        kernel = DispatchKernel(opt.plan, workers=ThreadedWorkers())
-        with pytest.raises(ExecutionError, match="InlineWorkers"):
-            kernel.run(feeds, should_preempt=lambda: True)
-
     def test_fresh_start_requires_inputs(self, served):
         engine, opt, feeds, ref = served
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         with pytest.raises(ExecutionError, match="inputs"):
             kernel.run(should_preempt=lambda: True)
 
@@ -144,9 +126,7 @@ class TestKernelPreemption:
         if phase_boundaries(opt.plan) != 0:
             pytest.skip("siamese tiny gained a second phase")
         feeds = make_inputs(graph)
-        kernel = DispatchKernel(
-            opt.plan, workers=InlineWorkers(), arena=TensorArena(opt.plan)
-        )
+        kernel = DispatchKernel(opt.plan, arena=TensorArena(opt.plan))
         out = kernel.run(feeds, should_preempt=lambda: True)
         assert not isinstance(out, PhaseCheckpoint)
         for got, want in zip(out.outputs, engine.run(opt, feeds).outputs):

@@ -1,6 +1,7 @@
 """Tests for the real-concurrency threaded executor."""
 
 import dataclasses
+import sys
 import threading
 import time
 
@@ -9,6 +10,8 @@ import pytest
 
 from repro.core import CompilerAwareProfiler, DuetEngine, partition_graph
 from repro.core.placement import build_hetero_plan
+from repro.core.schedulers.round_robin import round_robin_placement
+from repro.devices import make_mesh
 from repro.errors import DeviceLostError, ExecutionError, TransientKernelError
 from repro.ir import make_inputs, run_graph
 from repro.models import build_model
@@ -18,6 +21,7 @@ from repro.runtime.faults import (
     FaultPlan,
     KernelFault,
 )
+from repro.runtime.core import DispatchKernel
 from repro.runtime.plan import HeteroPlan
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -190,6 +194,53 @@ class TestThreadedExecutor:
         b = ThreadedExecutor(plan).run(feeds)
         for x, y in zip(a.outputs, b.outputs):
             np.testing.assert_array_equal(x, y)
+
+
+class TestThreadedStress:
+    def test_more_workers_than_cores_under_fast_switching(self):
+        """Four device workers on a 3-GPU mesh plan, the interpreter
+        switching threads every microsecond: a lost update to the shared
+        value slots or producer counts hangs a run or changes its
+        outputs."""
+        mesh = make_mesh(num_gpus=3, noisy=False)
+        devices = mesh.device_names
+        graph = build_model("resnet", tiny=True)
+        partition = partition_graph(graph)
+        profiles = CompilerAwareProfiler(machine=mesh).profile_partition(
+            partition
+        )
+        plan = build_hetero_plan(
+            graph,
+            partition,
+            profiles,
+            round_robin_placement(partition, devices),
+            devices=devices,
+        )
+        feeds = make_inputs(graph)
+        want = DispatchKernel(plan).run(feeds).outputs
+        executor = ThreadedExecutor(plan)
+        assert len(executor.devices) == 4
+        results = []
+
+        def drive():
+            for _ in range(10):
+                results.append(executor.run(feeds))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=drive, daemon=True)
+            driver.start()
+            driver.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive(), "a threaded run hung"
+        assert len(results) == 10
+        task_ids = sorted(t.task_id for t in plan.tasks)
+        for result in results:
+            for got, expected in zip(result.outputs, want):
+                np.testing.assert_array_equal(got, expected)
+            assert sorted(result.task_order) == task_ids
 
 
 class TestThreadedFaultInjection:

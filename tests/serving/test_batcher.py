@@ -27,7 +27,7 @@ from repro.core import DuetEngine
 from repro.errors import ExecutionError
 from repro.ir import GraphBuilder, make_inputs
 from repro.models import build_model
-from repro.runtime.core import DispatchKernel, InlineWorkers
+from repro.runtime.core import DispatchKernel
 from repro.runtime.faults import FaultInjector, FaultPlan, KernelFault
 from repro.runtime.session import EngineSession
 from repro.serving import (
@@ -202,7 +202,7 @@ class TestRunStackedExactness:
         ]
         solo = EngineSession(opt.plan)
         expected = [solo.run(feeds).outputs for feeds in batch_inputs]
-        kernel = DispatchKernel(opt.plan, workers=InlineWorkers())
+        kernel = DispatchKernel(opt.plan)
         got = run_stacked(
             lambda feeds: kernel.run(feeds).outputs,
             batch_inputs,

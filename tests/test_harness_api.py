@@ -42,16 +42,22 @@ def test_harness_import_resolves(source, module, name):
 
 
 @pytest.fixture(scope="module")
-def tiny_plan():
+def tiny_opt():
     from repro.core import DuetEngine
     from repro.devices import default_machine
     from repro.ir import make_inputs, run_graph
     from repro.models import build_model
 
     graph = build_model("wide_deep", tiny=True)
-    plan = DuetEngine(machine=default_machine(noisy=False)).optimize(graph).plan
+    engine = DuetEngine(machine=default_machine(noisy=False))
     feeds = make_inputs(graph)
-    return plan, feeds, run_graph(graph, feeds)
+    return engine, engine.optimize(graph), feeds, run_graph(graph, feeds)
+
+
+@pytest.fixture(scope="module")
+def tiny_plan(tiny_opt):
+    _, opt, feeds, ref = tiny_opt
+    return opt.plan, feeds, ref
 
 
 def test_threaded_executor_outputs(tiny_plan):
@@ -68,3 +74,19 @@ def test_engine_session_outputs(tiny_plan):
     plan, feeds, ref = tiny_plan
     for got, want in zip(EngineSession(plan).run(feeds).outputs, ref):
         np.testing.assert_array_equal(got, np.asarray(want))
+
+
+def test_session_trace_brackets_each_plan_task(tiny_opt):
+    """``_probe_runtime`` pairs each ``task-finish`` with the ``task-start``
+    before it (a finish without a start is a ``KeyError`` there): one
+    start then one finish per plan task, in plan order."""
+    engine, opt, feeds, _ = tiny_opt
+    events = []
+    session = engine.session(opt, trace_sink=events.append)
+    for _ in range(2):  # the harness measures the second run
+        events.clear()
+        session.run(feeds)
+        expected = []
+        for task in opt.plan.tasks:
+            expected += [("task-start", task.task_id), ("task-finish", task.task_id)]
+        assert [(e.kind, e.task_id) for e in events] == expected
